@@ -12,7 +12,7 @@ BENCHES = BenchmarkEngineEventRate|BenchmarkPolicyThroughput|BenchmarkBackfillPo
 # saturation cutoff.
 FIGBENCH = BenchmarkFigureWallClock
 
-.PHONY: verify test bench bench-smoke bench-baseline bench-record cpuprofile lint fmt-check
+.PHONY: verify test bench-test bench bench-smoke bench-baseline bench-record cpuprofile lint fmt-check
 
 # verify is the tier-1 gate: formatting, vet, build, the detlint
 # determinism rules (cmd/mclint), the full test suite, and the test
@@ -26,6 +26,13 @@ verify: fmt-check
 
 test:
 	$(GO) test ./...
+
+# bench-test runs the tests of the benchmark module (bench/, a module of
+# its own that builds against the simulator through a replace directive):
+# its golden-output and compare tests, which the root `go test ./...`
+# never reaches.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # lint runs go vet plus the detlint static-analysis suite: the
 # syntactic determinism and pooling invariants (nowallclock,

@@ -167,6 +167,10 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcexp", []string{"-quick", "-lookahead", "-2", "backfill"}, "must be >= 1"},
 			{"mcexp", []string{"-quick", "-decisions", "table1"}, "-decisions"},
 			{"mcexp", []string{"-quick", "-retry-cap", "5", "faults"}, "retry window"},
+			{"mcsim", []string{"-clusters", "x"}, "bad -clusters value"},
+			{"mcsim", []string{"-fit", "ZZ"}, "unknown fit rule"},
+			{"mcreplay", []string{"-clusters", "x"}, "bad -clusters value"},
+			{"mcreplay", []string{"-fit", "ZZ"}, "unknown fit rule"},
 		}
 		for _, c := range cases {
 			out := runExpectExit(t, 2, bin(c.bin), c.args...)

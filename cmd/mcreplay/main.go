@@ -13,10 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"coalloc/internal/cluster"
+	"coalloc/internal/cliutil"
 	"coalloc/internal/core"
 	"coalloc/internal/dastrace"
 	"coalloc/internal/obs"
@@ -24,13 +22,13 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "LS", "scheduling policy: GS, GS-EASY, LS, LS-sorted, LP, SC or SC-EASY")
+	policy := flag.String("policy", "LS", "scheduling policy: "+core.PolicyNames)
 	limit := flag.Int("limit", 16, "job-component-size limit")
 	load := flag.Float64("load", 1, "load factor: >1 compresses interarrival gaps")
 	ext := flag.Float64("ext", workload.DefaultExtensionFactor, "extension factor for multi-component jobs")
 	seed := flag.Uint64("seed", 1, "routing seed")
 	unbalanced := flag.Bool("unbalanced", false, "unbalanced local-queue routing")
-	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC: 128)")
+	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC, SC-EASY and SC-CONS: 128)")
 	jobs := flag.Int("jobs", 0, "replay only the first N jobs (0 = all)")
 	fit := flag.String("fit", "WF", "placement rule: WF, FF or BF")
 	schedule := flag.String("schedule", "", "write the per-job schedule (Gantt CSV) to this file")
@@ -63,37 +61,11 @@ func main() {
 		recs = recs[:*jobs]
 	}
 
-	clusterSizes := []int{32, 32, 32, 32}
-	if *policy == "SC" || *policy == "SC-EASY" {
-		clusterSizes = []int{128}
-	}
-	if *clusters != "" {
-		clusterSizes = nil
-		for _, fld := range strings.Split(*clusters, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(fld))
-			if err != nil || n <= 0 {
-				fatalf("bad -clusters value %q", fld)
-			}
-			clusterSizes = append(clusterSizes, n)
-		}
-	}
-
+	clusterSizes := cliutil.Clusters("mcreplay", *clusters, *policy)
 	componentLimit := *limit
-	if *policy == "SC" || *policy == "SC-EASY" {
+	if cliutil.SingleCluster(*policy) {
 		// Total requests: never split.
 		componentLimit = clusterSizes[0]
-	}
-
-	var fitRule cluster.Fit
-	switch strings.ToUpper(*fit) {
-	case "WF":
-		fitRule = cluster.WorstFit
-	case "FF":
-		fitRule = cluster.FirstFit
-	case "BF":
-		fitRule = cluster.BestFit
-	default:
-		fatalf("unknown fit rule %q", *fit)
 	}
 
 	var weights []float64
@@ -105,7 +77,7 @@ func main() {
 		ClusterSizes:    clusterSizes,
 		Records:         recs,
 		Policy:          *policy,
-		Fit:             fitRule,
+		Fit:             cliutil.Fit("mcreplay", *fit),
 		ComponentLimit:  componentLimit,
 		ExtensionFactor: *ext,
 		LoadFactor:      *load,
@@ -121,40 +93,20 @@ func main() {
 		schedFile = f
 		cfg.ScheduleWriter = f
 	}
-	var observer *obs.Observer
-	var traceFile *os.File
-	if *metrics || *tracePath != "" {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			traceFile = f
-			observer = obs.New(f)
-		} else {
-			observer = obs.New(nil)
-		}
-		cfg.Observer = observer
-	}
+	observer, closeTrace := cliutil.Observer("mcreplay", *metrics, *tracePath)
+	cfg.Observer = observer
 	res, err := core.Replay(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Close errors are write errors for buffered data; unchecked, a full
-	// disk would silently truncate the schedule or trace.
+	// A Close error is a write error for buffered data; unchecked, a full
+	// disk would silently truncate the schedule.
 	if schedFile != nil {
 		if err := schedFile.Close(); err != nil {
 			fatalf("writing schedule: %v", err)
 		}
 	}
-	if err := observer.Close(); err != nil {
-		fatalf("writing trace: %v", err)
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			fatalf("writing trace: %v", err)
-		}
-	}
+	closeTrace()
 
 	fmt.Printf("policy            %s\n", res.Policy)
 	fmt.Printf("jobs replayed     %d\n", res.Jobs)

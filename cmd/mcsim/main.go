@@ -14,11 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"coalloc/internal/cliutil"
-	"coalloc/internal/cluster"
 	"coalloc/internal/core"
 	"coalloc/internal/dectrace"
 	"coalloc/internal/faults"
@@ -27,7 +25,7 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "LS", "scheduling policy: GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EASY or SC-CONS")
+	policy := flag.String("policy", "LS", "scheduling policy: "+core.PolicyNames)
 	limit := flag.Int("limit", 16, "job-component-size limit (16, 24 or 32 in the paper)")
 	util := flag.Float64("util", 0.5, "offered gross utilization")
 	jobs := flag.Int("jobs", 30000, "measured jobs")
@@ -39,7 +37,7 @@ func main() {
 	ext := flag.Float64("ext", workload.DefaultExtensionFactor, "wide-area extension factor for multi-component jobs")
 	fit := flag.String("fit", "WF", "placement rule: WF, FF or BF")
 	lookahead := flag.Int("lookahead", 0, "conservative-backfilling reservation bound (0 = default 32; must be >= 1)")
-	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC uses 128)")
+	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC, SC-EASY and SC-CONS: 128)")
 	backlog := flag.Bool("backlog", false, "run a constant-backlog (maximal utilization) simulation instead")
 	mtbf := flag.Float64("mtbf", 0, "per-cluster mean time between processor failures in s (0 = no failures)")
 	mttr := flag.Float64("mttr", 900, "mean time to repair a failed processor in s")
@@ -65,20 +63,7 @@ func main() {
 		sizes = der.Sizes64
 	}
 
-	clusterSizes := []int{32, 32, 32, 32}
-	if *policy == "SC" || *policy == "SC-EASY" {
-		clusterSizes = []int{128}
-	}
-	if *clusters != "" {
-		clusterSizes = nil
-		for _, f := range strings.Split(*clusters, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fatalf("bad -clusters value %q", f)
-			}
-			clusterSizes = append(clusterSizes, n)
-		}
-	}
+	clusterSizes := cliutil.Clusters("mcsim", *clusters, *policy)
 
 	spec := workload.Spec{
 		Sizes:           sizes,
@@ -87,22 +72,11 @@ func main() {
 		Clusters:        len(clusterSizes),
 		ExtensionFactor: *ext,
 	}
-	if *policy == "SC" || *policy == "SC-EASY" {
+	if cliutil.SingleCluster(*policy) {
 		spec.ComponentLimit = sizes.Max() // total requests: never split
 	}
 
-	var fitRule cluster.Fit
-	switch strings.ToUpper(*fit) {
-	case "WF":
-		fitRule = cluster.WorstFit
-	case "FF":
-		fitRule = cluster.FirstFit
-	case "BF":
-		fitRule = cluster.BestFit
-	default:
-		fatalf("unknown fit rule %q (want WF, FF or BF)", *fit)
-	}
-
+	fitRule := cliutil.Fit("mcsim", *fit)
 	var weights []float64
 	if *unbalanced {
 		weights = core.Unbalanced(len(clusterSizes))
@@ -178,35 +152,13 @@ func main() {
 			CheckpointInterval: *ckptInterval,
 		}
 	}
-	var observer *obs.Observer
-	var traceFile *os.File
-	if *metrics || *tracePath != "" {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			traceFile = f
-			observer = obs.New(f)
-		} else {
-			observer = obs.New(nil)
-		}
-		cfg.Observer = observer
-	}
+	observer, closeTrace := cliutil.Observer("mcsim", *metrics, *tracePath)
+	cfg.Observer = observer
 	res, err := core.RunReplications(cfg, *reps)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// Close errors are write errors for buffered data; unchecked, a full
-	// disk would silently truncate the trace.
-	if err := observer.Close(); err != nil {
-		fatalf("writing trace: %v", err)
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			fatalf("writing trace: %v", err)
-		}
-	}
+	closeTrace()
 	fmt.Printf("policy              %s\n", res.Policy)
 	fmt.Printf("offered gross util  %.4f\n", res.OfferedGross)
 	fmt.Printf("measured gross util %.4f\n", res.GrossUtilization)

@@ -1,17 +1,23 @@
-// Package cliutil centralizes the flag validation shared by the commands,
-// so mcsim, mcexp and mcreplay reject the same bad inputs with the same
-// wording and the same exit status. Historically mcsim exited 1 via its
-// fatalf helper while mcexp exited 2 via inline fprintf checks; flag
-// errors now uniformly use status 2 (the conventional usage-error
-// status), leaving status 1 for runtime failures.
+// Package cliutil centralizes the flag parsing and validation shared by
+// the commands, so mcsim, mcexp and mcreplay reject the same bad inputs
+// with the same wording and the same exit status. Historically mcsim
+// exited 1 via its fatalf helper while mcexp exited 2 via inline fprintf
+// checks; flag errors now uniformly use status 2 (the conventional
+// usage-error status), leaving status 1 for runtime failures.
 package cliutil
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
+	"coalloc/internal/cluster"
 	"coalloc/internal/faults"
+	"coalloc/internal/obs"
 )
 
 // exit is swapped out by tests; the commands always exit the process.
@@ -21,6 +27,82 @@ var exit = os.Exit
 func Failf(prog, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
 	exit(2)
+}
+
+// fatalf prints "prog: message" to stderr and exits with status 1, the
+// status of runtime failures.
+func fatalf(prog, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
+	exit(1)
+}
+
+// SingleCluster reports whether policy schedules total requests on one
+// cluster (SC, SC-EASY and SC-CONS).
+func SingleCluster(policy string) bool { return strings.HasPrefix(policy, "SC") }
+
+// Clusters parses the -clusters flag, comma-separated positive processor
+// counts. The empty value selects the default system: four clusters of 32
+// processors, or one of 128 for the single-cluster policies.
+func Clusters(prog, v, policy string) []int {
+	if v == "" {
+		if SingleCluster(policy) {
+			return []int{128}
+		}
+		return []int{32, 32, 32, 32}
+	}
+	var sizes []int
+	for _, f := range strings.Split(v, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n <= 0 {
+			Failf(prog, "bad -clusters value %q", f)
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes
+}
+
+// Fit parses the -fit flag: WF, FF or BF, in any case.
+func Fit(prog, v string) cluster.Fit {
+	switch strings.ToUpper(v) {
+	case "WF":
+		return cluster.WorstFit
+	case "FF":
+		return cluster.FirstFit
+	case "BF":
+		return cluster.BestFit
+	}
+	Failf(prog, "unknown fit rule %q (want WF, FF or BF)", v)
+	return cluster.WorstFit
+}
+
+// Observer opens the observer the -metrics and -trace flags ask for: nil
+// when both are off, metrics only without a trace path, else one writing
+// its JSONL trace to the file at tracePath. The returned function flushes
+// the observer and closes the file; it exits with status 1 on a write
+// error, since unchecked a full disk would silently truncate the trace.
+func Observer(prog string, metrics bool, tracePath string) (*obs.Observer, func()) {
+	if !metrics && tracePath == "" {
+		return nil, func() {}
+	}
+	var f *os.File
+	var trace io.Writer
+	if tracePath != "" {
+		var err error
+		if f, err = os.Create(tracePath); err != nil {
+			fatalf(prog, "%v", err)
+		}
+		trace = f
+	}
+	o := obs.New(trace)
+	return o, func() {
+		err := o.Close()
+		if f != nil {
+			err = errors.Join(err, f.Close())
+		}
+		if err != nil {
+			fatalf(prog, "writing trace: %v", err)
+		}
+	}
 }
 
 // CheckLookahead validates the -lookahead flag: 0 means "use the

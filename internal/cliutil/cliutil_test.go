@@ -2,7 +2,10 @@ package cliutil
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"coalloc/internal/cluster"
 )
 
 type exitPanic int
@@ -97,5 +100,38 @@ func TestCheckRetryWindow(t *testing.T) {
 		if got != c.want {
 			t.Errorf("CheckRetryWindow(%g, %g) exit %d, want %d", c.base, c.cap, got, c.want)
 		}
+	}
+}
+
+func TestClusters(t *testing.T) {
+	cases := []struct {
+		v, policy string
+		want      []int
+		exit      int
+	}{
+		{"", "GS", []int{32, 32, 32, 32}, -1},
+		{"", "SC", []int{128}, -1},
+		{"", "SC-CONS", []int{128}, -1},
+		{"64, 64", "LS", []int{64, 64}, -1},
+		{"x", "GS", nil, 2},
+		{"32,0", "GS", nil, 2},
+	}
+	for _, c := range cases {
+		var got []int
+		code := captureExit(t, func() { got = Clusters("test", c.v, c.policy) })
+		if code != c.exit || (code == -1 && !slices.Equal(got, c.want)) {
+			t.Errorf("Clusters(%q, %s) = %v exit %d, want %v exit %d", c.v, c.policy, got, code, c.want, c.exit)
+		}
+	}
+}
+
+func TestFit(t *testing.T) {
+	for i, v := range []string{"WF", "ff", "BF"} {
+		if got, want := Fit("test", v), []cluster.Fit{cluster.WorstFit, cluster.FirstFit, cluster.BestFit}[i]; got != want {
+			t.Errorf("Fit(%q) = %v, want %v", v, got, want)
+		}
+	}
+	if code := captureExit(t, func() { Fit("test", "ZZ") }); code != 2 {
+		t.Errorf("Fit(ZZ) exit %d, want 2", code)
 	}
 }

@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"coalloc/internal/cluster"
-	"coalloc/internal/dectrace"
-	"coalloc/internal/obs"
 	"coalloc/internal/policies"
 	"coalloc/internal/rng"
-	"coalloc/internal/sim"
-	"coalloc/internal/stats"
 	"coalloc/internal/workload"
 )
 
@@ -48,6 +45,30 @@ func (c *BacklogConfig) applyDefaults() {
 	}
 }
 
+// validate checks the defaulted configuration and returns the policy it
+// names.
+func (c *BacklogConfig) validate() (policies.Policy, error) {
+	pol, err := c.system().build()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSpec(c.Spec, len(c.ClusterSizes)); err != nil {
+		return nil, err
+	}
+	if c.Backlog <= 0 {
+		return nil, fmt.Errorf("core: backlog %d must be positive", c.Backlog)
+	}
+	if !(c.WarmupTime > 0) || !(c.MeasureTime > 0) || math.IsInf(c.WarmupTime+c.MeasureTime, 0) {
+		return nil, fmt.Errorf("core: warmup time %g and measure time %g must be positive and finite",
+			c.WarmupTime, c.MeasureTime)
+	}
+	return pol, nil
+}
+
+func (c *BacklogConfig) system() system {
+	return system{c.ClusterSizes, c.Policy, c.Fit, c.Lookahead, c.QueueWeights}
+}
+
 // BacklogResult reports the maximal utilizations measured under constant
 // backlog.
 type BacklogResult struct {
@@ -66,139 +87,33 @@ type BacklogResult struct {
 	Jobs int
 }
 
-// RunBacklog executes a constant-backlog simulation.
+// RunBacklog executes a constant-backlog simulation: the simulation tops
+// the queue up to Backlog jobs at time zero and after every departure,
+// measures from WarmupTime and stops at WarmupTime+MeasureTime.
 func RunBacklog(cfg BacklogConfig) (BacklogResult, error) {
 	cfg.applyDefaults()
-	if len(cfg.ClusterSizes) == 0 {
-		return BacklogResult{}, fmt.Errorf("core: no clusters configured")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return BacklogResult{}, err
-	}
-	if cfg.Spec.Clusters != len(cfg.ClusterSizes) {
-		return BacklogResult{}, fmt.Errorf("core: spec splits over %d clusters but system has %d",
-			cfg.Spec.Clusters, len(cfg.ClusterSizes))
-	}
-	if cfg.Backlog <= 0 {
-		return BacklogResult{}, fmt.Errorf("core: backlog %d must be positive", cfg.Backlog)
-	}
-	pol, err := buildPolicy(cfg.Policy, len(cfg.ClusterSizes), cfg.Fit, cfg.Lookahead)
+	pol, err := cfg.validate()
 	if err != nil {
 		return BacklogResult{}, err
 	}
+	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "backlog", noCount)
+	s.src = backlogSource
+	s.spec = cfg.Spec
+	s.backlog = cfg.Backlog
+	s.topUp()
+	s.eng.RunUntil(cfg.WarmupTime)
+	s.startMeasuring(s.eng.Now())
+	s.eng.RunUntil(cfg.WarmupTime + cfg.MeasureTime)
 
-	src := rng.NewSource(cfg.Seed)
-	sizeStream := src.Stream("backlog/sizes")
-	svcStream := src.Stream("backlog/services")
-	routeStream := src.Stream("backlog/routing")
-
-	cdf := routingCDF(cfg.QueueWeights, len(cfg.ClusterSizes))
-
-	eng := sim.New()
-	m := cluster.New(cfg.ClusterSizes)
-	s := &backlogSim{
-		eng:     eng,
-		m:       m,
-		ext:     cfg.Spec.ExtensionFactor,
-		scratch: policies.NewScratch(len(cfg.ClusterSizes)),
-	}
-	eng.SetHandler(s.handleEvent)
-	s.busy.StartAt(0, 0)
-
-	var nextID int64
-	route := func() int {
-		if len(cdf) == 1 {
-			return 0
-		}
-		u := routeStream.Float64()
-		for i, c := range cdf {
-			if u < c {
-				return i
-			}
-		}
-		return len(cdf) - 1
-	}
-	topUp := func() {
-		for pol.Queued() < cfg.Backlog {
-			j := cfg.Spec.Sample(sizeStream, svcStream)
-			nextID++
-			j.ID = nextID
-			j.ArrivalTime = eng.Now()
-			j.Queue = route()
-			pol.Submit(s, j)
-		}
-	}
-	s.pol = pol
-	s.onDepart = topUp
-
-	topUp()
-	eng.RunUntil(cfg.WarmupTime)
-	s.busy.StartAt(eng.Now(), float64(m.Busy()))
-	s.departures = 0
-	eng.RunUntil(cfg.WarmupTime + cfg.MeasureTime)
-
-	window := eng.Now() - cfg.WarmupTime
-	capacity := float64(m.Capacity())
-	gross := s.busy.Average(eng.Now()) / capacity
+	now := s.eng.Now()
+	gross := s.busy.Average(now) / float64(s.m.Capacity())
+	jobs := int(s.respAll.N())
+	s.recycle()
 	return BacklogResult{
 		Policy:              cfg.Policy,
 		MaxGrossUtilization: gross,
 		MaxNetUtilization:   gross / cfg.Spec.GrossNetRatio(),
-		Throughput:          float64(s.departures) / window,
-		Jobs:                s.departures,
+		Throughput:          float64(jobs) / (now - cfg.WarmupTime),
+		Jobs:                jobs,
 	}, nil
-}
-
-// backlogSim is the policies.Ctx for constant-backlog runs.
-type backlogSim struct {
-	eng        *sim.Engine
-	m          *cluster.Multicluster
-	pol        policies.Policy
-	busy       stats.TimeWeighted
-	scratch    *policies.Scratch
-	departures int
-	onDepart   func()
-	ext        float64
-}
-
-var _ policies.Ctx = (*backlogSim)(nil)
-
-func (s *backlogSim) Cluster() *cluster.Multicluster { return s.m }
-
-func (s *backlogSim) Now() float64 { return s.eng.Now() }
-
-// Obs returns nil: backlog runs are short calibration sweeps with no
-// observability wiring.
-func (s *backlogSim) Obs() *obs.Observer { return nil }
-
-// Dec returns nil: backlog runs have no decision tracing either.
-func (s *backlogSim) Dec() *dectrace.Tracer { return nil }
-
-func (s *backlogSim) Scratch() *policies.Scratch { return s.scratch }
-
-func (s *backlogSim) Dispatch(j *workload.Job, placement []int) {
-	now := s.eng.Now()
-	j.StartTime = now
-	// placement may point into shared pass scratch; the job keeps a
-	// stable copy for the release on departure.
-	j.Placement = append([]int(nil), placement...)
-	placement = j.Placement
-	if j.Type == workload.Flexible {
-		j.FinalizeFlexible(j.Components, s.ext)
-	}
-	s.m.Alloc(j.Components, placement)
-	s.busy.Set(now, float64(s.m.Busy()))
-	s.eng.ScheduleAfter(j.ExtendedServiceTime, evDeparture, j)
-}
-
-// handleEvent processes the typed departure events of a backlog run.
-func (s *backlogSim) handleEvent(kind int32, payload any) {
-	j := payload.(*workload.Job)
-	t := s.eng.Now()
-	j.FinishTime = t
-	s.m.Release(j.Components, j.Placement)
-	s.busy.Set(t, float64(s.m.Busy()))
-	s.departures++
-	s.pol.JobDeparted(s, j)
-	s.onDepart()
 }

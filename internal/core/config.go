@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/dectrace"
@@ -26,7 +27,8 @@ type Config struct {
 	// Spec is the workload (sizes, service times, splitting, extension).
 	// Spec.Clusters must equal len(ClusterSizes).
 	Spec workload.Spec
-	// Policy is one of "GS", "LS", "LP", "SC".
+	// Policy is one of PolicyNames: the paper's GS, LS, LP and SC, or an
+	// extension (backfilling, shortest-first, LS-sorted).
 	Policy string
 	// RequestType selects the request structure (default Unordered).
 	// Ordered, Flexible and Total requests are supported by the GS and
@@ -124,59 +126,112 @@ func (c *Config) applyDefaults() {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if len(c.ClusterSizes) == 0 {
-		return fmt.Errorf("core: no clusters configured")
+	_, err := c.validate()
+	return err
+}
+
+// validate checks the configuration and returns the policy it names.
+func (c *Config) validate() (policies.Policy, error) {
+	pol, err := c.system().build()
+	if err != nil {
+		return nil, err
 	}
-	if err := c.Spec.Validate(); err != nil {
-		return err
+	if err := checkSpec(c.Spec, len(c.ClusterSizes)); err != nil {
+		return nil, err
 	}
-	if c.Spec.Clusters != len(c.ClusterSizes) {
-		return fmt.Errorf("core: spec splits over %d clusters but system has %d",
-			c.Spec.Clusters, len(c.ClusterSizes))
-	}
-	if c.ArrivalRate <= 0 {
-		return fmt.Errorf("core: arrival rate %g must be positive", c.ArrivalRate)
-	}
-	if c.QueueWeights != nil && len(c.QueueWeights) != len(c.ClusterSizes) {
-		return fmt.Errorf("core: %d queue weights for %d clusters",
-			len(c.QueueWeights), len(c.ClusterSizes))
+	if !(c.ArrivalRate > 0) || math.IsInf(c.ArrivalRate, 0) {
+		return nil, fmt.Errorf("core: arrival rate %g must be positive and finite", c.ArrivalRate)
 	}
 	if c.WarmupJobs < 0 || c.MeasureJobs <= 0 {
-		return fmt.Errorf("core: warmup %d / measure %d jobs", c.WarmupJobs, c.MeasureJobs)
-	}
-	if c.Lookahead < 0 {
-		return fmt.Errorf("core: lookahead %d must be >= 1 (or 0 for the default)", c.Lookahead)
-	}
-	pol, err := buildPolicy(c.Policy, len(c.ClusterSizes), c.Fit, c.Lookahead)
-	if err != nil {
-		return err
+		return nil, fmt.Errorf("core: warmup %d / measure %d jobs", c.WarmupJobs, c.MeasureJobs)
 	}
 	if c.RequestType != workload.Unordered && c.Policy != "GS" && c.Policy != "SC" {
-		return fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
+		return nil, fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
 			c.RequestType, c.Policy)
 	}
 	if (c.Trace != nil || c.TraceProvider != nil) && c.RequestType != workload.Unordered {
-		return fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
+		return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
 	}
 	if c.Faults.Enabled() {
 		if err := c.Faults.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 		if _, ok := pol.(policies.FaultAware); !ok {
-			return fmt.Errorf("core: policy %s does not implement policies.FaultAware (abort handling, capacity-change repair of any retained scheduling state), so it cannot run with fault injection", c.Policy)
+			return nil, fmt.Errorf("core: policy %s does not implement policies.FaultAware (abort handling, capacity-change repair of any retained scheduling state), so it cannot run with fault injection", c.Policy)
 		}
+	}
+	return pol, nil
+}
+
+func (c *Config) system() system {
+	return system{c.ClusterSizes, c.Policy, c.Fit, c.Lookahead, c.QueueWeights}
+}
+
+// system is the configuration every job source shares: the multicluster,
+// the policy with its knobs, and the routing to local queues.
+type system struct {
+	clusters  []int
+	policy    string
+	fit       cluster.Fit
+	lookahead int
+	weights   []float64
+}
+
+// build validates the shared fields and constructs the policy. It is the
+// one validation path of these fields for Run, RunBacklog and Replay.
+func (sys system) build() (policies.Policy, error) {
+	if len(sys.clusters) == 0 {
+		return nil, fmt.Errorf("core: no clusters configured")
+	}
+	for i, n := range sys.clusters {
+		if n <= 0 {
+			return nil, fmt.Errorf("core: cluster %d has %d processors", i, n)
+		}
+	}
+	if sys.weights != nil {
+		if len(sys.weights) != len(sys.clusters) {
+			return nil, fmt.Errorf("core: %d queue weights for %d clusters",
+				len(sys.weights), len(sys.clusters))
+		}
+		var sum float64
+		for _, w := range sys.weights {
+			if !(w >= 0) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("core: queue weight %g must be non-negative and finite", w)
+			}
+			sum += w
+		}
+		if sum == 0 {
+			return nil, fmt.Errorf("core: queue weights are all zero")
+		}
+	}
+	if sys.lookahead < 0 {
+		return nil, fmt.Errorf("core: lookahead %d must be >= 1 (or 0 for the default)", sys.lookahead)
+	}
+	return buildPolicy(sys.policy, len(sys.clusters), sys.fit, sys.lookahead)
+}
+
+// checkSpec validates a workload spec against the multicluster it splits
+// over.
+func checkSpec(spec workload.Spec, clusters int) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if spec.Clusters != clusters {
+		return fmt.Errorf("core: spec splits over %d clusters but system has %d", spec.Clusters, clusters)
 	}
 	return nil
 }
 
+// PolicyNames lists the policies Run, RunBacklog and Replay accept. SC,
+// SC-EASY and SC-CONS need a single cluster.
+const PolicyNames = "GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EASY or SC-CONS"
+
 // buildPolicy constructs a policy by its paper abbreviation. lookahead is
-// the conservative-backfilling reservation bound; 0 selects the default.
+// the conservative-backfilling reservation bound (system.build rejects
+// negative values); 0 selects the default.
 func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (policies.Policy, error) {
 	if lookahead == 0 {
 		lookahead = policies.DefaultLookahead
-	}
-	if lookahead < 1 {
-		return nil, fmt.Errorf("core: lookahead %d must be >= 1", lookahead)
 	}
 	switch name {
 	case "GS":
@@ -210,7 +265,7 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 	case "LP":
 		return policies.NewLP(clusters, fit), nil
 	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want GS, LS, LS-sorted, LP or SC)", name)
+		return nil, fmt.Errorf("core: unknown policy %q (want %s)", name, PolicyNames)
 	}
 }
 

@@ -436,6 +436,13 @@ func TestBacklogValidation(t *testing.T) {
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "XX"},
 		{ClusterSizes: []int{32, 32}, Spec: spec, Policy: "GS"},
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", Backlog: -1},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "LS", QueueWeights: []float64{1, 1}},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "LS", QueueWeights: []float64{1, -1, 1, 1}},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", Lookahead: -1},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", MeasureTime: -100},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", WarmupTime: -1},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", WarmupTime: math.NaN()},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", MeasureTime: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := RunBacklog(cfg); err == nil {

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"coalloc/internal/obs"
+	"coalloc/internal/workload"
+)
+
+var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/driver_digests.txt from the current outputs")
+
+const driverDigestsFile = "testdata/driver_digests.txt"
+
+// driverPolicies are the policies the driver guardrail replays and runs
+// under constant backlog; SC runs on a single 128-processor cluster.
+var driverPolicies = []string{"GS", "LS", "LP", "GS-EASY", "GS-CONS", "SC"}
+
+func digest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// driverOutputs runs the replay and constant-backlog job sources under
+// every guardrail policy and returns the digest of each output, keyed by
+// name in run order.
+func driverOutputs(t *testing.T) [][2]string {
+	t.Helper()
+	recs := replayRecords(3000)
+	var out [][2]string
+	add := func(name, s string) { out = append(out, [2]string{name, digest(s)}) }
+	for _, pol := range driverPolicies {
+		clusters, limit := []int{32, 32, 32, 32}, 16
+		if pol == "SC" {
+			clusters, limit = []int{128}, 128
+		}
+		var csv, jsonl bytes.Buffer
+		o := obs.New(&jsonl)
+		res, err := Replay(ReplayConfig{
+			ClusterSizes:    clusters,
+			Records:         recs,
+			Policy:          pol,
+			ComponentLimit:  limit,
+			ExtensionFactor: workload.DefaultExtensionFactor,
+			LoadFactor:      3,
+			Seed:            1,
+			ScheduleWriter:  &csv,
+			Observer:        o,
+		})
+		if err != nil {
+			t.Fatalf("replay %s: %v", pol, err)
+		}
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+		add("replay/"+pol, fmt.Sprintf("%v", res))
+		add("replay/"+pol+".csv", csv.String())
+		add("replay/"+pol+".jsonl", jsonl.String())
+
+		bres, err := RunBacklog(BacklogConfig{
+			ClusterSizes: clusters,
+			Spec:         testSpec(t, limit, len(clusters)),
+			Policy:       pol,
+			WarmupTime:   20_000,
+			MeasureTime:  100_000,
+			Seed:         5,
+		})
+		if err != nil {
+			t.Fatalf("backlog %s: %v", pol, err)
+		}
+		add("backlog/"+pol, fmt.Sprintf("%v", bres))
+	}
+	return out
+}
+
+// TestDriverOutputsPinned pins the replay and constant-backlog outputs
+// across builds: the %v of every ReplayResult and BacklogResult, the
+// replay schedule CSV and the replay JSONL trace must hash to the digests
+// recorded in testdata/driver_digests.txt. The determinism tests compare
+// two runs of one build; this one catches a refactor of the simulation
+// driver that changes any output. Regenerate the file with
+//
+//	go test ./internal/core -run TestDriverOutputsPinned -update-digests
+//
+// only for an intended output change.
+func TestDriverOutputsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 18k jobs and runs six constant-backlog simulations")
+	}
+	got := driverOutputs(t)
+	if *updateDigests {
+		var b strings.Builder
+		for _, kv := range got {
+			fmt.Fprintf(&b, "%s %s\n", kv[0], kv[1])
+		}
+		if err := os.MkdirAll(filepath.Dir(driverDigestsFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(driverDigestsFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(driverDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("malformed digest line %q", sc.Text())
+		}
+		want[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%d recorded digests, %d outputs", len(want), len(got))
+	}
+	for _, kv := range got {
+		if w, ok := want[kv[0]]; !ok {
+			t.Errorf("%s: no recorded digest", kv[0])
+		} else if w != kv[1] {
+			t.Errorf("%s: digest %s, recorded %s", kv[0], kv[1], w)
+		}
+	}
+}

@@ -10,12 +10,9 @@ import (
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/dastrace"
-	"coalloc/internal/dectrace"
 	"coalloc/internal/obs"
 	"coalloc/internal/policies"
 	"coalloc/internal/rng"
-	"coalloc/internal/sim"
-	"coalloc/internal/stats"
 	"coalloc/internal/workload"
 )
 
@@ -28,10 +25,11 @@ type ReplayConfig struct {
 	// ClusterSizes gives the processors per cluster.
 	ClusterSizes []int
 	// Records is the job log, in any order; it is replayed by submit
-	// time. Records with non-positive size or service time, or a size
-	// exceeding the total capacity, are rejected with an error.
+	// time. A record with a non-positive size, a size exceeding the total
+	// capacity, a negative or non-finite submit time, or a non-positive
+	// or non-finite service time is rejected with an error naming its ID.
 	Records []dastrace.Record
-	// Policy is one of GS, LS, LS-sorted, LP, SC.
+	// Policy is one of PolicyNames (as in Config.Policy).
 	Policy string
 	// Fit is the placement rule.
 	Fit cluster.Fit
@@ -85,133 +83,81 @@ type ReplayResult struct {
 	MaxQueue int
 }
 
+// loadFactor returns LoadFactor with its default applied.
+func (c *ReplayConfig) loadFactor() float64 {
+	if c.LoadFactor == 0 {
+		return 1
+	}
+	return c.LoadFactor
+}
+
+// validate checks the configuration and every record, and returns the
+// policy the configuration names.
+func (c *ReplayConfig) validate() (policies.Policy, error) {
+	pol, err := c.system().build()
+	if err != nil {
+		return nil, err
+	}
+	if len(c.Records) == 0 {
+		return nil, fmt.Errorf("core: replay with no records")
+	}
+	if c.ComponentLimit <= 0 {
+		return nil, fmt.Errorf("core: replay component limit %d", c.ComponentLimit)
+	}
+	if !(c.ExtensionFactor >= 1) || math.IsInf(c.ExtensionFactor, 0) {
+		return nil, fmt.Errorf("core: replay extension factor %g must be >= 1 and finite", c.ExtensionFactor)
+	}
+	load := c.loadFactor()
+	if !(load > 0) || math.IsInf(load, 0) {
+		return nil, fmt.Errorf("core: replay load factor %g must be positive and finite", c.LoadFactor)
+	}
+	capacity := 0
+	for _, n := range c.ClusterSizes {
+		capacity += n
+	}
+	for _, r := range c.Records {
+		switch {
+		case r.Size <= 0 || r.Size > capacity:
+			return nil, fmt.Errorf("core: replay record %d needs %d of %d processors", r.ID, r.Size, capacity)
+		case !(r.Submit >= 0) || math.IsInf(r.Submit/load, 0):
+			return nil, fmt.Errorf("core: replay record %d has submit time %g at load factor %g; want a finite, non-negative arrival time",
+				r.ID, r.Submit, load)
+		case !(r.Service > 0) || math.IsInf(r.Service*c.ExtensionFactor, 0):
+			return nil, fmt.Errorf("core: replay record %d has service time %g; want positive and finite", r.ID, r.Service)
+		}
+	}
+	return pol, nil
+}
+
+func (c *ReplayConfig) system() system {
+	return system{c.ClusterSizes, c.Policy, c.Fit, c.Lookahead, c.QueueWeights}
+}
+
 // Replay runs a trace through a policy and returns its metrics.
 func Replay(cfg ReplayConfig) (ReplayResult, error) {
-	if len(cfg.ClusterSizes) == 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay with no clusters")
-	}
-	if len(cfg.Records) == 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay with no records")
-	}
-	if cfg.ComponentLimit <= 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay component limit %d", cfg.ComponentLimit)
-	}
-	if cfg.ExtensionFactor < 1 {
-		return ReplayResult{}, fmt.Errorf("core: replay extension factor %g", cfg.ExtensionFactor)
-	}
-	load := cfg.LoadFactor
-	if load == 0 {
-		load = 1
-	}
-	if load <= 0 {
-		return ReplayResult{}, fmt.Errorf("core: replay load factor %g", cfg.LoadFactor)
-	}
-	pol, err := buildPolicy(cfg.Policy, len(cfg.ClusterSizes), cfg.Fit, cfg.Lookahead)
+	pol, err := cfg.validate()
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	m := cluster.New(cfg.ClusterSizes)
-	clusters := len(cfg.ClusterSizes)
-	capacity := m.Capacity()
-
+	load := cfg.loadFactor()
 	recs := make([]dastrace.Record, len(cfg.Records))
 	copy(recs, cfg.Records)
 	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit })
-	for _, r := range recs {
-		if r.Size <= 0 || r.Service <= 0 {
-			return ReplayResult{}, fmt.Errorf("core: replay record %d has size %d, service %g", r.ID, r.Size, r.Service)
-		}
-		if r.Size > capacity {
-			return ReplayResult{}, fmt.Errorf("core: replay record %d needs %d of %d processors", r.ID, r.Size, capacity)
-		}
-	}
 
-	cdf := routingCDF(cfg.QueueWeights, clusters)
-	routeStream := rng.NewSource(cfg.Seed).Stream("replay/routing")
-	route := func() int {
-		if len(cdf) == 1 {
-			return 0
-		}
-		u := routeStream.Float64()
-		for i, c := range cdf {
-			if u < c {
-				return i
-			}
-		}
-		return len(cdf) - 1
-	}
-
-	eng := sim.New()
-	var busy stats.TimeWeighted
-	busy.StartAt(0, 0)
-	var resp, slow stats.Welford
-	quantiles := stats.NewQuantileSet()
-	var grossWork, netWork float64
-	var firstArrival, lastFinish float64
-	firstArrival = math.Inf(1)
-	maxQueue := 0
-
-	var sched *bufio.Writer
+	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "replay", noCount)
+	s.src = replaySource
+	s.observe(cfg.Observer)
 	if cfg.ScheduleWriter != nil {
-		sched = bufio.NewWriter(cfg.ScheduleWriter)
-		fmt.Fprintln(sched, "id,size,components,arrival,start,finish,clusters")
+		s.sched = bufio.NewWriter(cfg.ScheduleWriter)
+		fmt.Fprintln(s.sched, "id,size,components,arrival,start,finish,clusters")
 	}
-	rs := &replaySim{
-		eng: eng,
-		m:   m,
-		onDispatch: func(j *workload.Job) {
-			grossWork += float64(j.TotalSize) * j.ExtendedServiceTime
-			netWork += float64(j.TotalSize) * j.ServiceTime
-		},
-		onDepart: func(j *workload.Job) {
-			r := j.ResponseTime()
-			resp.Add(r)
-			quantiles.Add(r)
-			slow.Add(boundedSlowdown(r, j.ServiceTime))
-			if j.FinishTime > lastFinish {
-				lastFinish = j.FinishTime
-			}
-			if sched != nil {
-				fmt.Fprintf(sched, "%d,%d,%s,%.2f,%.2f,%.2f,%s\n",
-					j.ID, j.TotalSize, intsDash(j.Components),
-					j.ArrivalTime, j.StartTime, j.FinishTime, intsDash(j.Placement))
-			}
-		},
-		busy:    &busy,
-		pol:     pol,
-		obs:     cfg.Observer,
-		scratch: policies.NewScratch(clusters),
-	}
-	rs.onArrive = func(j *workload.Job) {
-		j.ArrivalTime = eng.Now()
-		j.Queue = route()
-		rs.obs.Arrival(j.ArrivalTime, j.ID, j.TotalSize, j.Components, j.Queue)
-		pol.Submit(rs, j)
-		if q := pol.Queued(); q > maxQueue {
-			maxQueue = q
-		}
-		if rs.obs.Enabled() {
-			rs.obs.QueueDepth(pol.Queued())
-		}
-	}
-	eng.SetHandler(rs.handleEvent)
-	if cfg.Observer != nil {
-		eng.SetObserver(cfg.Observer)
-		cfg.Observer.SetClock(eng.Now)
-		if setter, ok := pol.(policies.ObserverSetter); ok {
-			setter.SetObserver(cfg.Observer)
-		}
-	}
-
-	// Jobs are pre-built during setup; the arrival event carries the job
-	// pointer and only stamps the arrival-time-dependent fields when it
-	// fires, so the replay loop itself schedules no closures.
-	for i := range recs {
-		r := recs[i]
-		at := r.Submit / load
-		if at < firstArrival {
-			firstArrival = at
-		}
+	s.startMeasuring(0)
+	// Jobs are pre-built during setup and every arrival is scheduled
+	// before the run, so an arrival wins a (time, seq) tie against any
+	// departure. The event carries the job pointer; routing happens when
+	// it fires.
+	clusters := len(cfg.ClusterSizes)
+	for _, r := range recs {
 		j := &workload.Job{
 			ID:          int64(r.ID),
 			TotalSize:   r.Size,
@@ -222,33 +168,37 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		if j.Multi() {
 			j.ExtendedServiceTime *= cfg.ExtensionFactor
 		}
-		eng.Schedule(at, evArrival, j)
+		s.eng.Schedule(r.Submit/load, evArrival, j)
 	}
-	eng.Run()
-	eng.ReportStats()
+	s.eng.Run()
+	s.eng.ReportStats()
 
-	if q := pol.Queued(); q > 0 {
+	if q := s.pol.Queued(); q > 0 {
 		return ReplayResult{}, fmt.Errorf("core: replay ended with %d jobs stuck in queue", q)
 	}
-	if sched != nil {
-		if err := sched.Flush(); err != nil {
+	if s.sched != nil {
+		if err := s.sched.Flush(); err != nil {
 			return ReplayResult{}, fmt.Errorf("core: writing schedule: %w", err)
 		}
 	}
 	res := ReplayResult{
 		Policy:         cfg.Policy,
-		Jobs:           int(resp.N()),
-		MeanResponse:   resp.Mean(),
-		MedianResponse: quantiles.Q50.Value(),
-		P95Response:    quantiles.Q95.Value(),
-		MeanSlowdown:   slow.Mean(),
-		Makespan:       lastFinish - firstArrival,
-		MaxQueue:       maxQueue,
+		Jobs:           int(s.respAll.N()),
+		MeanResponse:   s.respAll.Mean(),
+		MedianResponse: s.quantiles.Q50.Value(),
+		P95Response:    s.quantiles.Q95.Value(),
+		MeanSlowdown:   s.slowdown.Mean(),
+		// A drained replay ends on a departure: the clock stands at the
+		// last finish time.
+		Makespan: s.eng.Now() - recs[0].Submit/load,
+		MaxQueue: s.maxQueue,
 	}
 	if res.Makespan > 0 {
-		res.GrossUtilization = grossWork / (float64(capacity) * res.Makespan)
-		res.NetUtilization = netWork / (float64(capacity) * res.Makespan)
+		capacity := float64(s.m.Capacity())
+		res.GrossUtilization = s.grossWork / (capacity * res.Makespan)
+		res.NetUtilization = s.netWork / (capacity * res.Makespan)
 	}
+	s.recycle()
 	return res, nil
 }
 
@@ -259,64 +209,4 @@ func intsDash(vs []int) string {
 		parts[i] = fmt.Sprint(v)
 	}
 	return strings.Join(parts, "-")
-}
-
-// replaySim is the policies.Ctx for replay runs.
-type replaySim struct {
-	eng        *sim.Engine
-	m          *cluster.Multicluster
-	pol        policies.Policy
-	busy       *stats.TimeWeighted
-	obs        *obs.Observer
-	scratch    *policies.Scratch
-	onDispatch func(*workload.Job)
-	onArrive   func(*workload.Job)
-	onDepart   func(*workload.Job)
-}
-
-var _ policies.Ctx = (*replaySim)(nil)
-
-func (s *replaySim) Cluster() *cluster.Multicluster { return s.m }
-
-func (s *replaySim) Now() float64 { return s.eng.Now() }
-
-func (s *replaySim) Obs() *obs.Observer { return s.obs }
-
-// Dec returns nil: replay runs re-execute a recorded schedule and record no
-// new decisions.
-func (s *replaySim) Dec() *dectrace.Tracer { return nil }
-
-func (s *replaySim) Scratch() *policies.Scratch { return s.scratch }
-
-func (s *replaySim) Dispatch(j *workload.Job, placement []int) {
-	now := s.eng.Now()
-	j.StartTime = now
-	// placement may point into shared pass scratch; the job keeps a
-	// stable copy for the schedule CSV and the release on departure.
-	j.Placement = append([]int(nil), placement...)
-	placement = j.Placement
-	s.m.Alloc(j.Components, placement)
-	s.busy.Set(now, float64(s.m.Busy()))
-	s.obs.Start(now, j.ID, now-j.ArrivalTime, placement)
-	s.onDispatch(j)
-	s.eng.ScheduleAfter(j.ExtendedServiceTime, evDeparture, j)
-}
-
-// handleEvent dispatches the typed arrival/departure events of a replay.
-func (s *replaySim) handleEvent(kind int32, payload any) {
-	j := payload.(*workload.Job)
-	switch kind {
-	case evArrival:
-		s.onArrive(j)
-	case evDeparture:
-		t := s.eng.Now()
-		j.FinishTime = t
-		s.obs.Departure(t, j.ID, j.ResponseTime())
-		s.m.Release(j.Components, j.Placement)
-		s.busy.Set(t, float64(s.m.Busy()))
-		s.onDepart(j)
-		s.pol.JobDeparted(s, j)
-	default:
-		panic(fmt.Sprintf("core: unknown replay event kind %d", kind))
-	}
 }

@@ -146,6 +146,34 @@ func TestReplayValidation(t *testing.T) {
 		func(c *ReplayConfig) {
 			c.Records = []dastrace.Record{{ID: 1, Size: 0, Service: 10}}
 		},
+		func(c *ReplayConfig) { c.QueueWeights = make([]float64, 6) },
+		func(c *ReplayConfig) { c.QueueWeights = []float64{1, 1} },
+		func(c *ReplayConfig) { c.ClusterSizes = []int{32, 32, 0, 32} },
+		func(c *ReplayConfig) { c.LoadFactor = math.NaN() },
+		func(c *ReplayConfig) { c.LoadFactor = math.Inf(1) },
+		func(c *ReplayConfig) { c.ExtensionFactor = math.NaN() },
+		func(c *ReplayConfig) { c.ExtensionFactor = math.Inf(1) },
+		func(c *ReplayConfig) {
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Submit: -5, Service: 10}}
+		},
+		func(c *ReplayConfig) {
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Submit: math.NaN(), Service: 10}}
+		},
+		func(c *ReplayConfig) {
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Submit: math.Inf(1), Service: 10}}
+		},
+		func(c *ReplayConfig) {
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Service: math.NaN()}}
+		},
+		func(c *ReplayConfig) {
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Service: math.Inf(1)}}
+		},
+		func(c *ReplayConfig) {
+			// Finite on its own, but overflows to an infinite arrival time
+			// once divided by the load factor.
+			c.LoadFactor = 1e-300
+			c.Records = []dastrace.Record{{ID: 1, Size: 4, Submit: 1e300, Service: 10}}
+		},
 	}
 	for i, f := range bad {
 		c := good

@@ -236,11 +236,15 @@ func TestReadSWFSkipsCommentsAndInvalidJobs(t *testing.T) {
 
 func TestReadSWFErrors(t *testing.T) {
 	cases := []string{
-		"1 2 3",                  // too few fields
-		"x 0 -1 1 1 -1 -1 1 -1",  // bad job id
-		"1 y -1 1 1 -1 -1 1 -1",  // bad submit
-		"1 0 -1 zz 1 -1 -1 1 -1", // bad run time
-		"1 0 -1 1 pp -1 -1 1 -1", // bad processors
+		"1 2 3",                    // too few fields
+		"x 0 -1 1 1 -1 -1 1 -1",    // bad job id
+		"1 y -1 1 1 -1 -1 1 -1",    // bad submit
+		"1 0 -1 zz 1 -1 -1 1 -1",   // bad run time
+		"1 0 -1 1 pp -1 -1 1 -1",   // bad processors
+		"1 NaN -1 1 1 -1 -1 1 -1",  // non-finite submit
+		"1 -Inf -1 1 1 -1 -1 1 -1", // non-finite submit
+		"1 0 -1 NaN 1 -1 -1 1 -1",  // non-finite run time
+		"1 0 -1 +Inf 1 -1 -1 1 -1", // non-finite run time
 	}
 	for _, in := range cases {
 		if _, err := ReadSWF(strings.NewReader(in)); err == nil {

@@ -2,13 +2,15 @@ package dastrace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadSWF checks that the SWF parser never panics on arbitrary input
 // and that every record it does produce satisfies the documented
-// invariants (positive size and service time).
+// invariants (positive size, positive finite service time, finite submit
+// time).
 func FuzzReadSWF(f *testing.F) {
 	f.Add("1 0 -1 100.0 4 -1 -1 4 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n")
 	f.Add("; comment only\n")
@@ -17,13 +19,16 @@ func FuzzReadSWF(f *testing.F) {
 	f.Add("x y z w v u t s r\n")
 	f.Add("1 0 -1 1e308 4 -1 -1 4 -1\n")
 	f.Add("-1 -1 -1 -1 -1 -1 -1 -1 -1\n")
+	f.Add("1 0 -1 NaN 4 -1 -1 4 -1\n")
+	f.Add("1 Inf -1 100 4 -1 -1 4 -1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		recs, err := ReadSWF(strings.NewReader(input))
 		if err != nil {
 			return
 		}
 		for _, r := range recs {
-			if r.Size <= 0 || r.Service <= 0 {
+			if r.Size <= 0 || !(r.Service > 0) || math.IsInf(r.Service, 0) ||
+				math.IsNaN(r.Submit) || math.IsInf(r.Submit, 0) {
 				t.Errorf("parser produced invalid record %+v from %q", r, input)
 			}
 		}

@@ -2,8 +2,10 @@ package dastrace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,10 +54,18 @@ func WriteSWF(w io.Writer, recs []Record, header string) error {
 	return bw.Flush()
 }
 
+// errNotFinite rejects the NaN and infinite times strconv.ParseFloat
+// accepts: NaN passes no range check (every comparison with it is false)
+// and no simulation clock can reach an infinite time.
+var errNotFinite = errors.New("not a finite number")
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // ReadSWF parses a Standard Workload Format stream. Comment lines (';' or
 // '#') are skipped. Jobs with unknown (-1) or non-positive size or run time
 // are dropped, as is conventional when deriving distributions from archive
-// traces. It returns an error for structurally malformed lines.
+// traces. It returns an error for structurally malformed lines and for
+// non-finite (NaN or infinite) submit or run times.
 func ReadSWF(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -76,10 +86,16 @@ func ReadSWF(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("dastrace: line %d: job number %q: %v", lineNo, fields[0], err)
 		}
 		submit, err := strconv.ParseFloat(fields[1], 64)
+		if err == nil && !isFinite(submit) {
+			err = errNotFinite
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dastrace: line %d: submit time %q: %v", lineNo, fields[1], err)
 		}
 		run, err := strconv.ParseFloat(fields[3], 64)
+		if err == nil && !isFinite(run) {
+			err = errNotFinite
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dastrace: line %d: run time %q: %v", lineNo, fields[3], err)
 		}
