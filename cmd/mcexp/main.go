@@ -34,7 +34,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for CSV output (optional)")
 	progress := flag.Bool("progress", false, "print one line per completed sweep point (stderr)")
 	metrics := flag.Bool("metrics", false, "print an aggregate metrics summary after the experiments")
-	pergen := flag.Bool("pergen", false, "regenerate the workload inside every policy run instead of sharing a per-point trace (ablation; results are identical)")
 	mttr := flag.Float64("mttr", 0, "mean processor repair time in s for the fault experiments (0 = 900 s default)")
 	mtbf := flag.Float64("mtbf", 0, "per-cluster mean time between failures in s for the checkpoint experiment (0 = 1000 s default; the faults experiment sweeps its own grid)")
 	retryBase := flag.Float64("retry-base", 0, "base resubmit backoff for killed jobs in s (0 = 10 s default)")
@@ -144,7 +143,6 @@ func main() {
 	if *progress {
 		params.Progress = os.Stderr
 	}
-	params.PerPolicyWorkload = *pergen
 	var observer *obs.Observer
 	if *metrics {
 		// Note: attaching an Observer serializes the sweeps (it is

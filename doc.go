@@ -30,7 +30,8 @@
 //
 // Binaries: cmd/mcsim (one run), cmd/mcexp (paper experiments by id),
 // cmd/mctrace (synthetic trace generation and inspection). Runnable
-// examples live under examples/. The benchmarks in bench_test.go regenerate
-// every table and figure of the paper's evaluation; see EXPERIMENTS.md for
-// the paper-versus-measured record.
+// examples live under examples/. `mcexp -quick all` regenerates every
+// table and figure of the paper's evaluation at reduced fidelity, and the
+// repository benchmark under bench/ times the paper's sweeps end to end
+// and per layer; see EXPERIMENTS.md for the paper-versus-measured record.
 package coalloc

@@ -176,26 +176,43 @@ func (m *Multicluster) PlaceInto(components []int, fit Fit, placement []int, use
 	if len(components) == 0 {
 		panic("cluster: Place with no components")
 	}
-	if len(components) > len(m.sizes) {
+	return PlaceVector(m.idle, components, fit, placement, used)
+}
+
+// PlaceVector is the greedy distinct-cluster placement rule on a plain
+// idle vector — the rule PlaceInto applies to the current idle counts,
+// for schedulers that evaluate hypothetical states (a reservation
+// profile's window minimum, a shadow vector). Components are placed in
+// order (nonincreasing, as in Place), each on the cluster the fit rule
+// picks among those not yet used with enough idle processors. placement
+// needs room for one entry per component and used for one entry per
+// cluster; the result is reported as in PlaceInto.
+//
+// The rule is monotone for every fit: if the components fit on idle
+// vector w, they fit on any v >= w pointwise. Schedulers rely on the
+// contrapositive for pruning — a failure on v implies failure on any
+// w <= v.
+func PlaceVector(idle, components []int, fit Fit, placement []int, used []bool) bool {
+	if len(components) > len(idle) {
 		return false
 	}
-	used = used[:len(m.sizes)]
+	used = used[:len(idle)]
 	for c := range used {
 		used[c] = false
 	}
 	for ci, need := range components {
 		best := -1
-		for c := range m.sizes {
-			if used[c] || m.idle[c] < need {
+		for c := range idle {
+			if used[c] || idle[c] < need {
 				continue
 			}
 			switch fit {
 			case WorstFit:
-				if best < 0 || m.idle[c] > m.idle[best] {
+				if best < 0 || idle[c] > idle[best] {
 					best = c
 				}
 			case BestFit:
-				if best < 0 || m.idle[c] < m.idle[best] {
+				if best < 0 || idle[c] < idle[best] {
 					best = c
 				}
 			case FirstFit:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -405,46 +406,42 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 
 // TestSweepSharedTraceMatchesPerPolicy is the sweep-level common-random-
 // numbers guardrail: running the standard policy curves against the shared
-// per-point workload traces must produce exactly the curves of the
-// per-policy generation path (PerPolicyWorkload). Both modes feed every
-// run the same draws; only where the draws happen differs.
+// per-point workload traces must produce exactly the results of per-policy
+// generation, where every run samples its jobs live from the random
+// streams (the point config with its TraceProvider cleared). Both paths
+// feed every run the same draws; only where the draws happen differs.
 func TestSweepSharedTraceMatchesPerPolicy(t *testing.T) {
 	p := tinyParams()
 	p.Utilizations = []float64{0.3, 0.5}
 	p.Replications = 2
-
-	curves := func(env *Env) []plot.Series {
-		spec := env.MultiSpec(16, env.Derived.Sizes128)
-		var out []plot.Series
-		for _, cs := range []CurveSpec{
-			{Label: "GS", Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			{Label: "LS", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			{Label: "LP", Policy: "LP", ClusterSizes: MulticlusterSizes, Spec: spec},
-			{Label: "LS-unbal", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec,
-				QueueWeights: core.Unbalanced(len(MulticlusterSizes))},
-		} {
-			s, err := env.Curve(cs)
+	env := NewEnv(p)
+	spec := env.MultiSpec(16, env.Derived.Sizes128)
+	specs := []CurveSpec{
+		{Label: "GS", Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
+		{Label: "LS", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
+		{Label: "LP", Policy: "LP", ClusterSizes: MulticlusterSizes, Spec: spec},
+		{Label: "LS-unbal", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec,
+			QueueWeights: core.Unbalanced(len(MulticlusterSizes))},
+	}
+	shared, err := env.CurveSet(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, cs := range specs {
+		for i, got := range shared[ci] {
+			cfg := env.pointConfig(cs, p.Utilizations[i])
+			if cfg.TraceProvider == nil {
+				t.Fatalf("%s: sweep point runs without a shared trace; the comparison is vacuous", cs.Label)
+			}
+			cfg.TraceProvider = nil
+			want, err := env.runPoint(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", cs.Label, err)
 			}
-			out = append(out, s)
-		}
-		return out
-	}
-
-	shared := curves(NewEnv(p))
-	p.PerPolicyWorkload = true
-	pergen := curves(NewEnv(p))
-
-	for ci := range shared {
-		a, b := shared[ci], pergen[ci]
-		if a.Len() != b.Len() {
-			t.Fatalf("%s: shared %d points, per-policy %d", a.Name, a.Len(), b.Len())
-		}
-		for i := range a.X {
-			if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] {
-				t.Fatalf("%s point %d differs: shared (%g,%g) vs per-policy (%g,%g)",
-					a.Name, i, a.X[i], a.Y[i], b.X[i], b.Y[i])
+			// Sprintf covers every field (Result holds slices and
+			// NaN-able floats, so == is unavailable and unwanted).
+			if a, b := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); a != b {
+				t.Fatalf("%s point %d differs:\n  shared trace: %s\n  live:         %s", cs.Label, i, a, b)
 			}
 		}
 	}

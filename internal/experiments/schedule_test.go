@@ -8,26 +8,34 @@ import (
 	"testing"
 
 	"coalloc/internal/core"
+	"coalloc/internal/obs"
 	"coalloc/internal/plot"
 )
 
+// serialObserver attaches a metrics-only Observer to p. An Observer is
+// single-threaded, so it forces sweepSet's serial grid-order loop: the
+// reference the figure-level schedule is checked against.
+func serialObserver(p *Params) { p.Observer = obs.New(nil) }
+
 // TestScheduleModesRenderByteIdentical is the figure-level scheduling
-// guardrail: a figure rendered under the serial, per-curve-parallel, and
-// figure-level schedules must produce byte-identical report text and CSV
-// data. The scheduler only changes which simulation runs when; every
-// point is an independently seeded run and the merge consumes results per
-// curve in grid order.
+// guardrail: a figure rendered under the figure-level schedule must
+// produce byte-identical report text and CSV data to the serial grid-order
+// loop. The scheduler only changes which simulation runs when; every point
+// is an independently seeded run and the merge consumes results per curve
+// in grid order.
 func TestScheduleModesRenderByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	run := func(mode ScheduleMode) (string, string) {
+	run := func(serial bool) (string, string) {
 		t.Helper()
 		dir := t.TempDir()
 		p := tinyParams()
 		p.Utilizations = []float64{0.3, 0.9} // 0.9 saturates the GS curves
 		p.DataDir = dir
-		p.Schedule = mode
+		if serial {
+			serialObserver(&p)
+		}
 		env := NewEnv(p)
 		out, err := Run("fig5", env)
 		if err != nil {
@@ -39,30 +47,29 @@ func TestScheduleModesRenderByteIdentical(t *testing.T) {
 		}
 		return out, string(data)
 	}
-	refText, refCSV := run(ScheduleSerial)
-	for _, m := range []ScheduleMode{SchedulePerCurve, ScheduleFigure} {
-		text, csv := run(m)
-		if text != refText {
-			t.Errorf("schedule mode %d: figure text differs from serial:\n--- mode %d ---\n%s\n--- serial ---\n%s",
-				m, m, text, refText)
-		}
-		if csv != refCSV {
-			t.Errorf("schedule mode %d: CSV differs from serial:\n--- mode %d ---\n%s\n--- serial ---\n%s",
-				m, m, csv, refCSV)
-		}
+	refText, refCSV := run(true)
+	text, csv := run(false)
+	if text != refText {
+		t.Errorf("figure text differs from serial:\n--- figure schedule ---\n%s\n--- serial ---\n%s", text, refText)
+	}
+	if csv != refCSV {
+		t.Errorf("CSV differs from serial:\n--- figure schedule ---\n%s\n--- serial ---\n%s", csv, refCSV)
 	}
 }
 
-// TestCurveSetModesMatch pins the same property at the API level, on the
-// fault-injection path too: CurveSet under every schedule mode returns the
-// same per-curve result sequences.
+// TestCurveSetModesMatch pins the same property at the API level: CurveSet
+// under the figure-level schedule returns the same per-curve result
+// sequences as the serial loop.
 func TestCurveSetModesMatch(t *testing.T) {
 	p := tinyParams()
 	p.Utilizations = []float64{0.3, 0.9, 0.95}
-	curves := func(mode ScheduleMode) [][]core.Result {
+	curves := func(serial bool) [][]core.Result {
 		t.Helper()
-		p.Schedule = mode
-		env := NewEnv(p)
+		q := p
+		if serial {
+			serialObserver(&q)
+		}
+		env := NewEnv(q)
 		spec := env.MultiSpec(16, env.Derived.Sizes128)
 		sets, err := env.CurveSet([]CurveSpec{
 			{Label: "GS", Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
@@ -73,25 +80,23 @@ func TestCurveSetModesMatch(t *testing.T) {
 		}
 		return sets
 	}
-	ref := curves(ScheduleSerial)
-	for _, m := range []ScheduleMode{SchedulePerCurve, ScheduleFigure} {
-		got := curves(m)
-		if len(got) != len(ref) {
-			t.Fatalf("mode %d: %d curves, want %d", m, len(got), len(ref))
+	ref := curves(true)
+	got := curves(false)
+	if len(got) != len(ref) {
+		t.Fatalf("%d curves, want %d", len(got), len(ref))
+	}
+	for c := range ref {
+		if len(got[c]) != len(ref[c]) {
+			t.Errorf("curve %d: %d points, want %d", c, len(got[c]), len(ref[c]))
+			continue
 		}
-		for c := range ref {
-			if len(got[c]) != len(ref[c]) {
-				t.Errorf("mode %d curve %d: %d points, want %d", m, c, len(got[c]), len(ref[c]))
-				continue
-			}
-			for i := range ref[c] {
-				// Sprintf covers every field (Result holds slices and
-				// NaN-able floats, so == is unavailable and unwanted).
-				a := fmt.Sprintf("%+v", got[c][i])
-				b := fmt.Sprintf("%+v", ref[c][i])
-				if a != b {
-					t.Errorf("mode %d curve %d point %d differs:\n  mode:   %s\n  serial: %s", m, c, i, a, b)
-				}
+		for i := range ref[c] {
+			// Sprintf covers every field (Result holds slices and
+			// NaN-able floats, so == is unavailable and unwanted).
+			a := fmt.Sprintf("%+v", got[c][i])
+			b := fmt.Sprintf("%+v", ref[c][i])
+			if a != b {
+				t.Errorf("curve %d point %d differs:\n  figure: %s\n  serial: %s", c, i, a, b)
 			}
 		}
 	}
@@ -108,7 +113,7 @@ func TestProgressEffectiveCount(t *testing.T) {
 	p := tinyParams()
 	p.Utilizations = []float64{0.3, 0.9, 0.95} // 0.9 saturates GS
 	p.Progress = &buf
-	p.Schedule = ScheduleSerial
+	serialObserver(&p)
 	env := NewEnv(p)
 	cs := CurveSpec{
 		Label:        "GS",
@@ -148,7 +153,6 @@ func TestProgressFigureModeCountsAllCurves(t *testing.T) {
 	p := tinyParams()
 	p.Utilizations = []float64{0.3, 0.9, 0.95}
 	p.Progress = &buf
-	p.Schedule = ScheduleFigure
 	env := NewEnv(p)
 	spec := env.MultiSpec(16, env.Derived.Sizes128)
 	if _, err := env.CurveSet([]CurveSpec{

@@ -320,7 +320,7 @@ func (p *Conservative) ensureCap(m *cluster.Multicluster) {
 // re-derives every +Inf entry against the restored capacity.
 func (p *Conservative) neverFits(m *cluster.Multicluster, comps []int, s *Scratch) bool {
 	p.ensureCap(m)
-	return !placeVectorInto(p.availVec, comps, p.fit, s.Place, s.Used)
+	return !cluster.PlaceVector(p.availVec, comps, p.fit, s.Place, s.Used)
 }
 
 // appendResv records a reservation, copying the placement into the arena

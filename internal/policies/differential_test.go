@@ -151,10 +151,10 @@ func TestPlacementMonotone(t *testing.T) {
 				for lo[1] = 0; lo[1] <= hi[1]; lo[1]++ {
 					for lo[2] = 0; lo[2] <= hi[2]; lo[2]++ {
 						for _, comps := range compSets {
-							if !placeVectorInto(lo[:], comps, fit, place[:len(comps)], used) {
+							if !cluster.PlaceVector(lo[:], comps, fit, place[:len(comps)], used) {
 								continue
 							}
-							if !placeVectorInto(hi[:], comps, fit, place[:len(comps)], used) {
+							if !cluster.PlaceVector(hi[:], comps, fit, place[:len(comps)], used) {
 								t.Fatalf("fit %v: comps %v fit on %v but not on %v >= it",
 									fit, comps, lo, hi)
 							}

@@ -315,13 +315,13 @@ func (p *EASY) earliestFit(m *cluster.Multicluster, comps []int, now float64, fi
 
 // fitsVector is the greedy distinct-cluster fit test on a plain idle
 // vector — the same rule Multicluster.Place applies, evaluated on a
-// hypothetical state (see placeVectorInto in profile.go). It uses the
+// hypothetical state (see cluster.PlaceVector). It uses the
 // policy's scratch buffers, which earliestFit sizes before the first call.
 func (p *EASY) fitsVector(idle []int, comps []int, fit cluster.Fit) bool {
 	if len(comps) > len(idle) {
 		return false
 	}
-	return placeVectorInto(idle, comps, fit, p.scrPlace[:len(comps)], p.scrUsed[:len(idle)])
+	return cluster.PlaceVector(idle, comps, fit, p.scrPlace[:len(comps)], p.scrUsed[:len(idle)])
 }
 
 // Queued returns the queue length.

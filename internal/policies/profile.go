@@ -284,7 +284,7 @@ func (p *profile) earliestStart(comps []int, dur float64, fit cluster.Fit) (floa
 		if !rose {
 			continue
 		}
-		if placeVectorInto(min, comps, fit, p.place[:len(comps)], p.used[:nc]) {
+		if cluster.PlaceVector(min, comps, fit, p.place[:len(comps)], p.used[:nc]) {
 			return times[s], p.place[:len(comps)]
 		}
 		copy(prev, min)
@@ -306,51 +306,4 @@ func (p *profile) reserve(comps, placement []int, t, dur float64) {
 			}
 		}
 	}
-}
-
-// placeVectorInto is the greedy distinct-cluster placement on a plain idle
-// vector, writing into caller-provided storage: placement receives the
-// chosen cluster per component, used is scratch of length len(idle). It
-// reports whether the components fit.
-//
-// The rule is monotone for every fit: if the components fit on idle
-// vector w, they fit on any v >= w pointwise (see TestPlacementMonotone).
-// earliestStart's candidate pruning and the policies' capacity fast exits
-// rely on the contrapositive — a failure on v implies failure on any
-// w <= v.
-func placeVectorInto(idle, comps []int, fit cluster.Fit, placement []int, used []bool) bool {
-	if len(comps) > len(idle) {
-		return false
-	}
-	for c := range used {
-		used[c] = false
-	}
-	for ci, need := range comps {
-		best := -1
-		for c := range idle {
-			if used[c] || idle[c] < need {
-				continue
-			}
-			switch fit {
-			case cluster.WorstFit:
-				if best < 0 || idle[c] > idle[best] {
-					best = c
-				}
-			case cluster.BestFit:
-				if best < 0 || idle[c] < idle[best] {
-					best = c
-				}
-			default: // FirstFit
-				if best < 0 {
-					best = c
-				}
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		used[best] = true
-		placement[ci] = best
-	}
-	return true
 }

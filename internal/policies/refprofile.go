@@ -126,7 +126,7 @@ func (p *refProfile) earliestStart(comps []int, dur float64, fit cluster.Fit) (f
 	for s := 0; s < len(p.times); s++ {
 		t := p.times[s]
 		min := p.minWindow(t, dur)
-		if placeVectorInto(min, comps, fit, p.place[:len(comps)], p.used[:n]) {
+		if cluster.PlaceVector(min, comps, fit, p.place[:len(comps)], p.used[:n]) {
 			return t, p.place[:len(comps)]
 		}
 	}

@@ -78,17 +78,24 @@ func (p *SPF) pass(ctx Ctx) {
 	s := ctx.Scratch()
 	o.Pass()
 	p.blocked = false
-	for len(p.jobs) > 0 {
-		head := p.jobs[0]
+	started := 0
+	for started < len(p.jobs) {
+		head := p.jobs[started]
 		if !m.PlaceInto(head.Components, p.fit, s.Place, s.Used) {
 			o.HeadMiss(workload.GlobalQueue)
 			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
 			p.blocked = true
-			return
+			break
 		}
-		p.jobs = p.jobs[1:]
+		started++
 		ctx.Dispatch(head, s.Place[:len(head.Components)])
 	}
+	// Copy-down rather than reslice: p.jobs[started:] would walk the
+	// slice off its backing array, and Submit's append would then
+	// reallocate the queue over and over.
+	n := copy(p.jobs, p.jobs[started:])
+	clear(p.jobs[n:])
+	p.jobs = p.jobs[:n]
 }
 
 // Queued returns the number of waiting jobs.
