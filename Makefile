@@ -24,14 +24,14 @@ test:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# lint runs go vet plus the detlint static-analysis suite: the
-# syntactic determinism and pooling invariants (nowallclock,
-# noglobalrand, nomaprange, eventretain, jobretain), their
-# interprocedural closures over the whole-module call graph (taintflow,
-# handleflow, scratchescape), discarded Close/Flush errors (closecheck),
-# the //detlint:noalloc compiler escape gate (noalloc), and dead
-# suppression directives (stalesuppress). `go run ./cmd/mclint -help`
-# prints the rule catalog; `-json` emits findings for tooling.
+# lint runs go vet plus the detlint static-analysis suite, one rule per
+# hazard: the determinism and pooling invariants (nowallclock,
+# noglobalrand, nomaprange, eventretain, jobretain, scratchescape), each
+# reporting the direct use and, over the whole-module call graph, the
+# call that launders it through a helper; discarded Close/Flush errors
+# (closecheck); the //detlint:noalloc compiler escape gate (noalloc);
+# and dead suppression directives (stalesuppress). `go run ./cmd/mclint
+# -help` prints the rule catalog; `-json` emits findings for tooling.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...

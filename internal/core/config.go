@@ -64,17 +64,15 @@ type Config struct {
 	// its JSONL event trace. An Observer is single-threaded: attaching
 	// one makes RunReplications execute its replications serially.
 	Observer *obs.Observer
-	// Trace, when non-nil, replays a pre-generated workload record (see
-	// NewTrace) instead of sampling jobs live. The trace's seed and
-	// arrival rate must match the run's; sweeps use this to run every
-	// policy on the identical job stream (common random numbers). Only
-	// Unordered requests can be traced.
-	Trace *Trace
-	// TraceProvider, consulted when Trace is nil, resolves a shared trace
-	// for the run's seed. RunReplications derives a distinct seed per
-	// replication, so a provider (rather than a single Trace) is how a
-	// replicated run shares workloads: return nil to fall back to live
-	// sampling for that seed.
+	// TraceProvider, when non-nil, resolves a pre-generated workload
+	// record (see NewTrace) for the run's seed, which the run replays
+	// instead of sampling jobs live; return nil to fall back to live
+	// sampling for that seed. The trace's seed and arrival rate must
+	// match the run's. Sweeps use this to run every policy on the
+	// identical job stream (common random numbers), and RunReplications
+	// derives a distinct seed per replication, so a provider is how a
+	// replicated run shares workloads. Only Unordered requests can be
+	// traced.
 	TraceProvider func(seed uint64) *Trace
 	// SaturationCutoff enables the early divergence monitor: the run
 	// samples its backlog growth at fixed completed-job checkpoints and
@@ -149,7 +147,7 @@ func (c *Config) validate() (policies.Policy, error) {
 		return nil, fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
 			c.RequestType, c.Policy)
 	}
-	if (c.Trace != nil || c.TraceProvider != nil) && c.RequestType != workload.Unordered {
+	if c.TraceProvider != nil && c.RequestType != workload.Unordered {
 		return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
 	}
 	if c.Faults.Enabled() {

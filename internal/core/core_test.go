@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"coalloc/internal/analysis"
 	"coalloc/internal/dist"
 	"coalloc/internal/workload"
 )
@@ -377,30 +378,10 @@ func TestMMCAgainstErlangC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mmcResponse(rho*mu*c, mu, c)
+	want := analysis.MMcMeanResponse(rho*mu*c, mu, c)
 	if math.Abs(res.MeanResponse-want)/want > 0.08 {
 		t.Errorf("M/M/4 mean response %.4f, want %.4f", res.MeanResponse, want)
 	}
-}
-
-// mmcResponse returns the analytic M/M/c mean response time.
-func mmcResponse(lambda, mu float64, c int) float64 {
-	a := lambda / mu
-	rho := a / float64(c)
-	// Erlang C probability of waiting.
-	sum := 0.0
-	fact := 1.0
-	for k := 0; k < c; k++ {
-		if k > 0 {
-			fact *= float64(k)
-		}
-		sum += math.Pow(a, float64(k)) / fact
-	}
-	factC := fact * float64(c)
-	pc := math.Pow(a, float64(c)) / (factC * (1 - rho))
-	pWait := pc / (sum + pc)
-	wq := pWait / (float64(c)*mu - lambda)
-	return wq + 1/mu
 }
 
 func TestGSAndSCIdenticalOnOneCluster(t *testing.T) {
@@ -493,15 +474,6 @@ func TestBacklogOrderingAcrossLimits(t *testing.T) {
 	}
 	if !(max[24] < max[16] && max[24] < max[32]) {
 		t.Errorf("limit 24 should be worst: %v", max)
-	}
-}
-
-func TestMM1ResponseHelper(t *testing.T) {
-	if got := MM1Response(0.5, 1); got != 2 {
-		t.Errorf("MM1Response(0.5, 1) = %g", got)
-	}
-	if !math.IsInf(MM1Response(1, 1), 1) {
-		t.Error("unstable M/M/1 should report +Inf")
 	}
 }
 

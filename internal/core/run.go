@@ -473,8 +473,8 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tr := cfg.Trace
-	if tr == nil && cfg.TraceProvider != nil {
+	var tr *Trace
+	if cfg.TraceProvider != nil {
 		tr = cfg.TraceProvider(cfg.Seed)
 	}
 	if tr != nil {
@@ -781,18 +781,10 @@ func mergeReplications(results []Result) Result {
 
 // Sanity helpers -------------------------------------------------------------
 
-// MM1Response returns the analytic M/M/1 mean response time for arrival
-// rate lambda and service rate mu — used by the integration tests to
-// validate the whole pipeline on a degenerate configuration (one cluster,
-// one processor, unit-size jobs, exponential service).
-func MM1Response(lambda, mu float64) float64 {
-	if lambda >= mu {
-		return math.Inf(1)
-	}
-	return 1 / (mu - lambda)
-}
-
-// ExpService returns a workload spec for such a degenerate M/M/1 system.
+// ExpService returns a workload spec for a degenerate M/M/1 system (one
+// cluster, one processor, unit-size jobs, exponential service); the
+// integration tests validate the whole pipeline on it against
+// analysis.MM1MeanResponse.
 func ExpService(mu float64) workload.Spec {
 	return workload.Spec{
 		Sizes:           dist.NewEmpiricalInt([]int{1}, []float64{1}),

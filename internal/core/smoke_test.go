@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"coalloc/internal/analysis"
 	"coalloc/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func TestMM1Sanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MM1Response(cfg.ArrivalRate, mu)
+	want := analysis.MM1MeanResponse(cfg.ArrivalRate, mu)
 	if math.Abs(res.MeanResponse-want)/want > 0.08 {
 		t.Errorf("M/M/1 mean response = %.3f, want %.3f (+-8%%)", res.MeanResponse, want)
 	}

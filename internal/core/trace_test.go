@@ -40,7 +40,7 @@ func TestSharedTraceMatchesSampling(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s live: %v", pol, err)
 		}
-		cfg.Trace = tr
+		cfg.TraceProvider = func(uint64) *Trace { return tr }
 		replayed, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s traced: %v", pol, err)
@@ -122,7 +122,7 @@ func TestTraceMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = tr
+	cfg.TraceProvider = func(uint64) *Trace { return tr }
 	if _, err := Run(cfg); err == nil {
 		t.Error("seed-mismatched trace accepted")
 	}
@@ -131,7 +131,7 @@ func TestTraceMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = tr
+	cfg.TraceProvider = func(uint64) *Trace { return tr }
 	cfg.ArrivalRate *= 2
 	if _, err := Run(cfg); err == nil {
 		t.Error("rate-mismatched trace accepted")
@@ -151,7 +151,7 @@ func TestTraceRequiresUnordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = tr
+	cfg.TraceProvider = func(uint64) *Trace { return tr }
 	if err := cfg.Validate(); err == nil {
 		t.Error("Validate accepted a trace with ordered requests")
 	}

@@ -15,32 +15,31 @@
 //
 // # Rules
 //
-// Eleven analyzers ship with the framework (see All). The first five are
-// syntactic, per-package rules:
+// Nine analyzers ship with the framework (see All), one per hazard.
+// Where a hazard can be laundered through a helper, its rule reports
+// both the direct use and, through a whole-module call graph over
+// go/types (see callgraph.go and DESIGN.md §14), the call site that
+// reaches it:
 //
 //   - nowallclock: no wall-clock time (time.Now, time.Since, time.Sleep,
-//     ...) in deterministic packages; simulations read sim.Engine.Now.
-//   - noglobalrand: no math/rand or math/rand/v2 anywhere in non-test
-//     code; all randomness flows through internal/rng seeded streams.
+//     ...) in deterministic packages, and no call there to a module
+//     function that transitively reaches it; simulations read
+//     sim.Engine.Now.
+//   - noglobalrand: no math/rand or math/rand/v2 import anywhere in
+//     non-test code, and no call in a deterministic package to a module
+//     function that transitively reaches it; all randomness flows
+//     through internal/rng seeded streams.
 //   - nomaprange: no ranging over maps in deterministic packages unless
 //     the loop only collects the keys into a slice that is sorted before
 //     use, or the site carries a suppression.
 //   - eventretain: no storing sim.Event handles into struct fields,
-//     slices, maps, or package-level variables; pooled handles go stale
-//     once the event fires or is cancelled.
+//     slices, maps, channels or package-level variables, and no passing
+//     one to a function that does; pooled handles go stale once the
+//     event fires or is cancelled.
 //   - jobretain: no storing arena-owned workload.Job handles in
-//     package-level variables or sending them over channels; the per-run
-//     arena recycles every job when the run ends.
-//
-// The next five are semantic, whole-module rules built on a call graph
-// over go/types (see callgraph.go and DESIGN.md §14):
-//
-//   - taintflow: a call, inside a deterministic package, to any module
-//     function that transitively reaches the wall clock or math/rand —
-//     the interprocedural closure of nowallclock/noglobalrand.
-//   - handleflow: passing a pooled sim.Event or arena-owned workload.Job
-//     handle to a function that stores it where it can outlive the
-//     handle — the interprocedural closure of eventretain/jobretain.
+//     package-level variables or channels, and no passing one to a
+//     function that does; the per-run arena recycles every job when the
+//     run ends.
 //   - scratchescape: retaining a slice obtained from
 //     policies.Ctx.Scratch() (or from a //detlint:scratch function) in a
 //     field, global or element, or returning it across the exported API
@@ -89,22 +88,19 @@ import (
 
 // Analyzer is one lint rule: a stable identifier, a one-line description
 // (shown by `mclint -help`), and a function applied to each loaded
-// package. Rules with facts set need the whole-module dataflow facts
-// (call graph, escape summaries) built before their Run executes.
+// package. Run builds the whole-module dataflow facts (call graph, taint
+// closures, escape summaries) before any analyzer's Run executes.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
-
-	facts bool // needs Module facts (call graph + dataflow summaries)
 }
 
 // All returns the full rule set in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoWallClock, NoGlobalRand, NoMapRange, EventRetain, JobRetain,
-		TaintFlow, HandleFlow, ScratchEscape, CloseCheck, NoAlloc,
-		StaleSuppress,
+		ScratchEscape, CloseCheck, NoAlloc, StaleSuppress,
 	}
 }
 
@@ -121,8 +117,9 @@ var StaleSuppress = &Analyzer{
 
 // DeterministicPackages lists the module-relative import paths whose code
 // must stay bit-reproducible across runs and across serial/parallel
-// execution. nowallclock, nomaprange and taintflow apply only inside this
-// set; the other rules apply module-wide.
+// execution. nowallclock and nomaprange apply only inside this set, as
+// does noglobalrand's call-site check; the other rules apply
+// module-wide.
 var DeterministicPackages = []string{
 	"internal/analysis",
 	"internal/cluster",
@@ -239,15 +236,7 @@ func Run(cfg Config) ([]Finding, error) {
 	mod.sup = sup
 	annBad := collectAnnotations(mod, pkgs)
 	bad = append(bad, annBad...)
-	needFacts := false
-	for _, a := range analyzers {
-		if a.facts {
-			needFacts = true
-		}
-	}
-	if needFacts {
-		mod.buildFacts()
-	}
+	mod.buildFacts()
 	for _, a := range analyzers {
 		if a == NoAlloc {
 			if err := mod.buildNoAllocFacts(); err != nil {
@@ -397,23 +386,20 @@ func (s *suppressions) covering(f Finding) []*directive {
 	return s.cover[f.Pos.Filename][f.Pos.Line][f.Rule]
 }
 
-// sanctions reports whether a directive for any of the rules covers the
-// given position, marking matching directives used. The dataflow engines
-// call it at store sites: a suppressed store is a documented-safe store,
-// so it must not taint the functions that reach it. Only safe during the
+// sanctions reports whether a directive for rule covers the given
+// position, marking matching directives used. The dataflow engines call
+// it at store and source sites: a suppressed site is documented-safe, so
+// it must not taint the functions that reach it. Only safe during the
 // single-threaded facts phase.
-func (s *suppressions) sanctions(pos token.Position, rules ...string) bool {
+func (s *suppressions) sanctions(pos token.Position, rule string) bool {
 	if s == nil {
 		return false
 	}
-	ok := false
-	for _, rule := range rules {
-		for _, d := range s.cover[pos.Filename][pos.Line][rule] {
-			d.used = true
-			ok = true
-		}
+	ds := s.cover[pos.Filename][pos.Line][rule]
+	for _, d := range ds {
+		d.used = true
 	}
-	return ok
+	return len(ds) > 0
 }
 
 // collectSuppressions scans every comment of every loaded file for

@@ -108,9 +108,10 @@ func parseWants(t *testing.T, root string) map[string]int {
 }
 
 // TestMalformedSuppressions checks that directives without a rule,
-// without a reason, naming an unknown rule, or trying to silence the
-// staleness reporter — plus a floating //detlint:noalloc annotation —
-// are reported under the pseudo-rule "detlint".
+// without a reason, naming an unknown rule (including the retired
+// handleflow), or trying to silence the staleness reporter — plus a
+// floating //detlint:noalloc annotation — are reported under the
+// pseudo-rule "detlint".
 func TestMalformedSuppressions(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "badsuppress")
 	findings, err := detlint.Run(detlint.Config{Dir: dir})
@@ -129,7 +130,7 @@ func TestMalformedSuppressions(t *testing.T) {
 		lines = append(lines, f.Pos.Line)
 	}
 	sort.Ints(lines)
-	if want := []int{6, 9, 12, 15, 18}; !equalInts(lines, want) {
+	if want := []int{6, 9, 12, 15, 18, 23}; !equalInts(lines, want) {
 		t.Errorf("detlint findings on lines %v, want %v", lines, want)
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sync"
 )
 
 // This file is the interprocedural parameter-escape engine behind
-// handleflow and scratchescape. For every module function it computes,
-// per parameter of a tracked family (pooled sim.Event, arena-owned
-// workload.Job, pass-scoped scratch storage), whether calling the
-// function can store that argument somewhere that outlives the call —
+// eventretain, jobretain and scratchescape. For every module function it
+// computes, per parameter of a tracked family (pooled sim.Event,
+// arena-owned workload.Job, pass-scoped scratch storage), whether calling
+// the function can store that argument somewhere that outlives the call —
 // directly (a field, global, element, channel send, append, composite
 // literal) or transitively (the parameter is forwarded to another module
 // function whose parameter escapes). The summaries are propagated to a
@@ -21,15 +22,15 @@ import (
 // message.
 //
 // A store site that carries a //detlint:ignore directive for the
-// family's rules is a documented-safe site: it does not mark the
+// family's rule is a documented-safe site: it does not mark the
 // parameter escaping, and the engine credits the directive so the
 // staleness pass does not report it.
 
 // handleSpec configures the engine for one tracked-value family.
 type handleSpec struct {
-	rule   string // rule reported at call sites (and honored at stores)
-	what   string // human name of the tracked value, for messages
-	advice string // appended to findings
+	rule   string // rule that owns the family (its directives sanction stores)
+	what   string // the tracked value with its article, for call-site messages
+	advice string // appended to call-site findings
 	owner  string // module-relative package exempt ("" for none): it implements the pool
 
 	// Sink selection. A disabled sink kind is a legitimate store for
@@ -41,10 +42,6 @@ type handleSpec struct {
 	// the hazard (handles), false when only the header is (scratch —
 	// a spread copies the elements out).
 	spreadSink bool
-
-	// suppressAs lists additional rules whose directives sanction a
-	// store site (the intraprocedural analyzers covering direct stores).
-	suppressAs []string
 
 	// track reports whether a parameter of this type carries the value.
 	track func(t types.Type) bool
@@ -164,8 +161,7 @@ func (ef *escapeFacts) scanBody(cg *callGraph, fi *funcInfo, params map[types.Ob
 			return
 		}
 		p := cg.mod.Fset.Position(pos)
-		rules := append([]string{spec.rule}, spec.suppressAs...)
-		if cg.mod.sup.sanctions(p, rules...) {
+		if cg.mod.sup.sanctions(p, spec.rule) {
 			return
 		}
 		ef.record(fi.fn, pi, &paramEscape{why: why, at: p})
@@ -254,6 +250,36 @@ func (ef *escapeFacts) scanBody(cg *callGraph, fi *funcInfo, params map[types.Ob
 	})
 }
 
+// reportEscapingArgs flags each argument of call that carries the
+// tracked value (per carries) into an escaping parameter of a callee.
+// A spread of a tracked slice counts only when spec.spreadSink is set.
+func reportEscapingArgs(p *Pass, ef *escapeFacts, call *ast.CallExpr, carries func(ast.Expr) bool) {
+	cg := p.Module.facts.cg
+	for _, callee := range cg.resolveCall(p.Pkg.Info, call) {
+		esc := ef.escapes[callee]
+		if len(esc) == 0 {
+			continue
+		}
+		for ai, arg := range call.Args {
+			if call.Ellipsis.IsValid() && ai == len(call.Args)-1 && !ef.spec.spreadSink {
+				continue
+			}
+			if !carries(arg) {
+				continue
+			}
+			pi, ok := calleeParamIndex(callee, ai)
+			if !ok {
+				continue
+			}
+			if pe := esc[pi]; pe != nil {
+				p.Reportf(arg.Pos(), "passing %s to %s, which %s at %s; %s",
+					ef.spec.what, cg.qualifiedName(callee, p.Pkg), pe.why, shortPos(pe.at),
+					ef.spec.advice)
+			}
+		}
+	}
+}
+
 // calleeParamIndex maps argument position ai to the callee's parameter
 // index, folding variadic tails onto the last parameter.
 func calleeParamIndex(callee *types.Func, ai int) (int, bool) {
@@ -317,11 +343,17 @@ func (ef *escapeFacts) record(fn *types.Func, pi int, pe *paramEscape) {
 }
 
 // containsChecker decides whether a type transitively contains the named
-// type (through pointers, slices, arrays, maps, channels, and structs).
+// type (through pointers, slices, arrays, maps, and structs). Channels
+// end the traversal: the retain rules report every channel type that
+// carries a handle at the channel type itself, so a field, global or
+// parameter holding such a channel is already covered there. The retain
+// rules query it from concurrent per-package passes, so mu guards memo.
 type containsChecker struct {
 	pkgPath string
 	name    string
-	memo    map[types.Type]bool
+
+	mu   sync.Mutex
+	memo map[types.Type]bool
 }
 
 func newContainsChecker(pkgPath, name string) *containsChecker {
@@ -329,38 +361,42 @@ func newContainsChecker(pkgPath, name string) *containsChecker {
 }
 
 func (c *containsChecker) contains(t types.Type) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookup(t)
+}
+
+func (c *containsChecker) lookup(t types.Type) bool {
 	if v, ok := c.memo[t]; ok {
 		return v
 	}
 	c.memo[t] = false // terminate on recursive types
-	v := c.containsUncached(t)
+	v := c.lookupUncached(t)
 	c.memo[t] = v
 	return v
 }
 
-func (c *containsChecker) containsUncached(t types.Type) bool {
+func (c *containsChecker) lookupUncached(t types.Type) bool {
 	switch t := t.(type) {
 	case *types.Named:
 		obj := t.Obj()
 		if obj.Name() == c.name && obj.Pkg() != nil && obj.Pkg().Path() == c.pkgPath {
 			return true
 		}
-		return c.contains(t.Underlying())
+		return c.lookup(t.Underlying())
 	case *types.Alias:
-		return c.contains(types.Unalias(t))
+		return c.lookup(types.Unalias(t))
 	case *types.Pointer:
-		return c.contains(t.Elem())
+		return c.lookup(t.Elem())
 	case *types.Slice:
-		return c.contains(t.Elem())
+		return c.lookup(t.Elem())
 	case *types.Array:
-		return c.contains(t.Elem())
+		return c.lookup(t.Elem())
 	case *types.Map:
-		return c.contains(t.Key()) || c.contains(t.Elem())
-	case *types.Chan:
-		return c.contains(t.Elem())
+		return c.lookup(t.Key()) || c.lookup(t.Elem())
 	case *types.Struct:
 		for i := 0; i < t.NumFields(); i++ {
-			if c.contains(t.Field(i).Type()) {
+			if c.lookup(t.Field(i).Type()) {
 				return true
 			}
 		}

@@ -2,13 +2,14 @@ package detlint
 
 import "go/types"
 
-// moduleFacts bundles the interprocedural dataflow the semantic rules
-// share: the whole-module call graph, the taint closure, and the escape
-// summaries. Run builds it once, single-threaded, before the parallel
-// per-package analysis phase; afterwards it is immutable.
+// moduleFacts bundles the interprocedural dataflow the rules share: the
+// whole-module call graph, the taint closures, and the escape summaries.
+// Run builds it once, single-threaded, before the parallel per-package
+// analysis phase; afterwards it is immutable.
 type moduleFacts struct {
 	cg      *callGraph
-	taint   map[*types.Func]*taintFact
+	clock   map[*types.Func]*taintFact // functions that reach the wall clock
+	rand    map[*types.Func]*taintFact // functions that reach math/rand
 	event   *escapeFacts
 	job     *escapeFacts
 	scratch *scratchFacts
@@ -22,7 +23,8 @@ func (m *Module) buildFacts() {
 	cg := buildCallGraph(m)
 	m.facts = &moduleFacts{
 		cg:      cg,
-		taint:   buildTaint(cg),
+		clock:   buildTaint(cg, NoWallClock.Name, wallClock),
+		rand:    buildTaint(cg, NoGlobalRand.Name, globalRand),
 		event:   buildEscapeFacts(cg, eventSpec(m)),
 		job:     buildEscapeFacts(cg, jobSpec(m)),
 		scratch: buildScratchFacts(cg),

@@ -27,7 +27,7 @@ type Module struct {
 	// Filled in by Run before the analysis phase; immutable during it.
 	sup   *suppressions // parsed //detlint:ignore directives
 	ann   *annotations  // //detlint:noalloc and //detlint:scratch sites
-	facts *moduleFacts  // call graph + dataflow summaries (semantic rules)
+	facts *moduleFacts  // call graph + dataflow summaries
 	escm  *escapeDiags  // parsed `go build -gcflags=-m` output (noalloc)
 }
 

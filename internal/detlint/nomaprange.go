@@ -29,54 +29,46 @@ func runNoMapRange(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
-		parents := buildParents(file)
+		// Statement lists are visited before the statements in them, so
+		// each range loop's verdict is in sorted before the loop itself
+		// is reached.
+		sorted := make(map[*ast.RangeStmt]bool)
 		ast.Inspect(file, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
+			var list []ast.Stmt
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				list = n.List
+			case *ast.CaseClause:
+				list = n.Body
+			case *ast.CommClause:
+				list = n.Body
+			case *ast.RangeStmt:
+				t := info.TypeOf(n.X)
+				if t == nil || sorted[n] {
+					return true
+				}
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					pass.Reportf(n.Pos(),
+						"range over map %s: iteration order is nondeterministic; iterate sorted keys or add //detlint:ignore nomaprange <reason>",
+						types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
+				}
 			}
-			t := info.TypeOf(rs.X)
-			if t == nil {
-				return true
+			for i, st := range list {
+				if rs, ok := st.(*ast.RangeStmt); ok && isSortedKeyCollection(info, rs, list[i+1:]) {
+					sorted[rs] = true
+				}
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if isSortedKeyCollection(info, rs, parents) {
-				return true
-			}
-			pass.Reportf(rs.Pos(),
-				"range over map %s: iteration order is nondeterministic; iterate sorted keys or add //detlint:ignore nomaprange <reason>",
-				types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
 			return true
 		})
 	}
-}
-
-// buildParents records the syntactic parent of every node in file.
-func buildParents(file *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }
 
 // isSortedKeyCollection reports whether rs is the safe collect-then-sort
 // idiom: the body only appends the key variable to a single slice
 // (conditions and continue are allowed; anything with other effects is
 // not), and a statement after the loop in the same block sorts that
-// slice.
-func isSortedKeyCollection(info *types.Info, rs *ast.RangeStmt, parents map[ast.Node]ast.Node) bool {
+// slice (after is the rest of the loop's statement list).
+func isSortedKeyCollection(info *types.Info, rs *ast.RangeStmt, after []ast.Stmt) bool {
 	keyID, ok := rs.Key.(*ast.Ident)
 	if !ok || keyID.Name == "_" {
 		return false
@@ -163,7 +155,7 @@ func isSortedKeyCollection(info *types.Info, rs *ast.RangeStmt, parents map[ast.
 	if !checkBlock(rs.Body) || target == nil {
 		return false
 	}
-	return sortedAfter(info, rs, parents, target)
+	return sortedAfter(info, after, target)
 }
 
 // sortCalls maps qualified sort functions to "sorts its first argument".
@@ -177,21 +169,9 @@ var sortCalls = map[string]map[string]bool{
 	},
 }
 
-// sortedAfter reports whether a statement after rs in its enclosing block
-// sorts target.
-func sortedAfter(info *types.Info, rs *ast.RangeStmt, parents map[ast.Node]ast.Node, target types.Object) bool {
-	list := enclosingStmtList(rs, parents)
-	idx := -1
-	for i, st := range list {
-		if st == ast.Stmt(rs) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	for _, st := range list[idx+1:] {
+// sortedAfter reports whether one of the statements after sorts target.
+func sortedAfter(info *types.Info, after []ast.Stmt, target types.Object) bool {
+	for _, st := range after {
 		es, ok := st.(*ast.ExprStmt)
 		if !ok {
 			continue
@@ -201,19 +181,7 @@ func sortedAfter(info *types.Info, rs *ast.RangeStmt, parents map[ast.Node]ast.N
 			continue
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		pkgID, ok := sel.X.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		pn, ok := info.Uses[pkgID].(*types.PkgName)
-		if !ok {
-			continue
-		}
-		fns, ok := sortCalls[pn.Imported().Path()]
-		if !ok || !fns[sel.Sel.Name] {
+		if !ok || !sortCalls[importedPath(info, sel)][sel.Sel.Name] {
 			continue
 		}
 		arg := call.Args[0]
@@ -226,18 +194,4 @@ func sortedAfter(info *types.Info, rs *ast.RangeStmt, parents map[ast.Node]ast.N
 		}
 	}
 	return false
-}
-
-// enclosingStmtList returns the statement list rs belongs to (a block or
-// a switch/select case body), or nil.
-func enclosingStmtList(rs *ast.RangeStmt, parents map[ast.Node]ast.Node) []ast.Stmt {
-	switch p := parents[rs].(type) {
-	case *ast.BlockStmt:
-		return p.List
-	case *ast.CaseClause:
-		return p.Body
-	case *ast.CommClause:
-		return p.Body
-	}
-	return nil
 }

@@ -28,12 +28,11 @@ import (
 //     exported API boundary is where callers assume stable storage —
 //     unless the function is annotated //detlint:scratch
 //   - passing scratch to a function whose parameter escapes (via the
-//     same parameter-escape engine handleflow uses)
+//     same parameter-escape engine eventretain and jobretain use)
 var ScratchEscape = &Analyzer{
-	Name:  "scratchescape",
-	Doc:   "no retaining policies.Ctx.Scratch() storage in fields/globals or returning it across the exported API",
-	Run:   runScratchEscape,
-	facts: true,
+	Name: "scratchescape",
+	Doc:  "no retaining policies.Ctx.Scratch() storage in fields/globals or returning it across the exported API",
+	Run:  runScratchEscape,
 }
 
 const scratchAdvice = "scratch is valid only for the current scheduling pass; copy what must persist"
@@ -53,7 +52,7 @@ type scratchFacts struct {
 func scratchSpec(sf *scratchFacts) *handleSpec {
 	return &handleSpec{
 		rule:     ScratchEscape.Name,
-		what:     "pass-scoped scratch slice",
+		what:     "scratch-derived storage",
 		advice:   scratchAdvice,
 		fields:   true,
 		elements: true,
@@ -346,28 +345,7 @@ func (sf *scratchFacts) checkFunc(p *Pass, cg *callGraph, fi *funcInfo) {
 					return true
 				}
 			}
-			for _, callee := range cg.resolveCall(info, n) {
-				esc := sf.ef.escapes[callee]
-				if len(esc) == 0 {
-					continue
-				}
-				for ai, arg := range n.Args {
-					if !sf.tracked(cg, info, local, arg) {
-						continue
-					}
-					if n.Ellipsis.IsValid() && arg == n.Args[len(n.Args)-1] {
-						continue
-					}
-					pi, ok := calleeParamIndex(callee, ai)
-					if !ok {
-						continue
-					}
-					if pe := esc[pi]; pe != nil {
-						p.Reportf(arg.Pos(), "passing scratch-derived storage to %s, which %s at %s; %s",
-							cg.qualifiedName(callee, p.Pkg), pe.why, shortPos(pe.at), scratchAdvice)
-					}
-				}
-			}
+			reportEscapingArgs(p, sf.ef, n, func(arg ast.Expr) bool { return sf.tracked(cg, info, local, arg) })
 		}
 		return true
 	})

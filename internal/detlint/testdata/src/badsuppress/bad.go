@@ -17,4 +17,10 @@ var d = 0
 
 //detlint:noalloc
 
-var _ = a + b + c + d
+// handleflow was folded into eventretain and jobretain; its name is no
+// longer a rule.
+//
+//detlint:ignore handleflow the old call-site rule
+var e = 0
+
+var _ = a + b + c + d + e

@@ -1,8 +1,7 @@
 // Package hostenv is a fixture helper outside the deterministic set: it
-// may read the wall clock without any syntactic finding, which is
-// exactly what makes it a taint source for the interprocedural
-// taintflow rule — deterministic code calling Stamp launders time.Now
-// through two hops.
+// may read the wall clock without a finding of its own, which is exactly
+// what makes it a taint source for nowallclock's call-site check —
+// deterministic code calling Stamp launders time.Now through two hops.
 package hostenv
 
 import "time"

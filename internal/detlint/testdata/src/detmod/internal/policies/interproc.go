@@ -1,8 +1,8 @@
-// Interprocedural fixtures: taint laundered through a helper package
-// (taintflow) and pooled handles leaked through helper functions
-// (handleflow). The direct stores inside the helpers are the syntactic
-// findings; the calls handing the value over are the interprocedural
-// ones.
+// Interprocedural fixtures: the wall clock laundered through a helper
+// package (nowallclock) and pooled handles leaked through helper
+// functions (eventretain, jobretain). The direct stores inside the
+// helpers and the calls handing the value over are reported under the
+// same rule.
 package policies
 
 import (
@@ -14,7 +14,7 @@ import (
 // stampArrival calls a clean-looking helper that reaches time.Now two
 // hops away.
 func stampArrival() int64 {
-	return hostenv.Stamp() // want taintflow
+	return hostenv.Stamp() // want nowallclock
 }
 
 // width calls a genuinely clean helper from the same package; no taint.
@@ -23,7 +23,7 @@ func width() int {
 }
 
 // registry retains event handles; its add method is where the handle
-// escapes, and every call passing a handle in is a handleflow finding.
+// escapes, and every call passing a handle in is an eventretain finding.
 type registry struct {
 	evs []sim.Event // want eventretain
 }
@@ -33,16 +33,16 @@ func (r *registry) add(ev sim.Event) {
 }
 
 // stash forwards its handle to the retaining add; the forwarding call is
-// itself a handleflow site, and stash's parameter escapes transitively.
+// itself an eventretain site, and stash's parameter escapes transitively.
 func stash(r *registry, ev sim.Event) {
-	r.add(ev) // want handleflow
+	r.add(ev) // want eventretain
 }
 
 func leakHandles(e *sim.Engine) {
 	r := &registry{}
 	ev := e.After(1, nil)
-	r.add(ev)    // want handleflow
-	stash(r, ev) // want handleflow
+	r.add(ev)    // want eventretain
+	stash(r, ev) // want eventretain
 	_ = stampArrival
 	_ = width
 }
@@ -56,6 +56,22 @@ func record(j *workload.Job) {
 }
 
 func leakViaRecord(a *workload.Arena) {
-	record(a.Job()) // want handleflow
+	record(a.Job()) // want jobretain
 	_ = leakHandles
+}
+
+// ledger keeps handles under a documented invariant. The one directive
+// on the store inside keep silences the direct finding and keeps keep's
+// parameter from escaping, so the call in useLedger stays clean.
+type ledger struct {
+	evs []sim.Event // want eventretain
+}
+
+func (l *ledger) keep(ev sim.Event) {
+	l.evs = append(l.evs, ev) //detlint:ignore eventretain entries are dropped when their event fires
+}
+
+func useLedger(e *sim.Engine) {
+	l := &ledger{}
+	l.keep(e.After(1, nil))
 }

@@ -134,31 +134,28 @@ func (q *P2Quantile) Reset() {
 	*q = *NewP2Quantile(p)
 }
 
-// QuantileSet bundles the response-time quantiles the experiment reports
-// use: median, 90th and 95th percentile.
+// QuantileSet bundles the response-time quantiles a Result reports: the
+// median and the 95th percentile.
 type QuantileSet struct {
-	Q50, Q90, Q95 *P2Quantile
+	Q50, Q95 *P2Quantile
 }
 
-// NewQuantileSet returns estimators for the 50th, 90th and 95th percentile.
+// NewQuantileSet returns estimators for the 50th and 95th percentile.
 func NewQuantileSet() *QuantileSet {
 	return &QuantileSet{
 		Q50: NewP2Quantile(0.50),
-		Q90: NewP2Quantile(0.90),
 		Q95: NewP2Quantile(0.95),
 	}
 }
 
-// Add feeds all three estimators.
+// Add feeds both estimators.
 func (s *QuantileSet) Add(x float64) {
 	s.Q50.Add(x)
-	s.Q90.Add(x)
 	s.Q95.Add(x)
 }
 
 // Reset discards all observations.
 func (s *QuantileSet) Reset() {
 	s.Q50.Reset()
-	s.Q90.Reset()
 	s.Q95.Reset()
 }
