@@ -29,9 +29,9 @@ bench-test:
 # noglobalrand, nomaprange, eventretain, jobretain, scratchescape), each
 # reporting the direct use and, over the whole-module call graph, the
 # call that launders it through a helper; discarded Close/Flush errors
-# (closecheck); the //detlint:noalloc compiler escape gate (noalloc);
-# and dead suppression directives (stalesuppress). `go run ./cmd/mclint
-# -help` prints the rule catalog; `-json` emits findings for tooling.
+# (closecheck); and dead suppression directives (stalesuppress). `go run
+# ./cmd/mclint -help` prints the rule catalog; `-json` emits findings for
+# tooling.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...

@@ -171,6 +171,13 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-fit", "ZZ"}, "unknown fit rule"},
 			{"mcreplay", []string{"-clusters", "x"}, "bad -clusters value"},
 			{"mcreplay", []string{"-fit", "ZZ"}, "unknown fit rule"},
+			{"mcmodel", []string{"gen", "-jobs", "0"}, "-jobs"},
+			{"mcmodel", []string{"stats", "-jobs", "-3"}, "-jobs"},
+			{"mcmodel", []string{"bogus"}, "usage: mcmodel"},
+			{"mctrace", []string{"gen", "-jobs", "-5"}, "-jobs"},
+			{"mctrace", []string{"filter", "-from", "100", "-to", "50"}, "-from"},
+			{"mctrace", []string{"filter", "-from", "100"}, "-from"},
+			{"mctrace", []string{"filter", "-to", "50"}, "-to"},
 		}
 		for _, c := range cases {
 			out := runExpectExit(t, 2, bin(c.bin), c.args...)

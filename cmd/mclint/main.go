@@ -9,8 +9,8 @@
 // Patterns default to ./... and accept plain directories or the
 // recursive dir/... form, resolved against the working directory. The
 // exit status is 0 when the tree is clean, 1 when any rule fires, and 2
-// on usage or load errors (a package that fails to parse or type-check,
-// or a failed noalloc escape-analysis probe).
+// on usage or load errors (no module, or a package that fails to parse
+// or type-check).
 //
 // -json replaces the plain file:line:col lines with a JSON array of
 // findings on stdout, for tooling.

@@ -274,7 +274,7 @@ func TestListAndHelp(t *testing.T) {
 	bin := buildLinter(t)
 	rules := []string{
 		"nowallclock", "noglobalrand", "nomaprange", "eventretain", "jobretain",
-		"scratchescape", "closecheck", "noalloc", "stalesuppress",
+		"scratchescape", "closecheck", "stalesuppress",
 	}
 
 	stdout, _, code := runLinter(t, bin, ".", "-list")

@@ -13,12 +13,13 @@ import (
 	"fmt"
 	"os"
 
+	"coalloc/internal/cliutil"
 	"coalloc/internal/dastrace"
 	"coalloc/internal/wmodel"
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	if len(os.Args) < 2 || (os.Args[1] != "gen" && os.Args[1] != "stats") {
 		usage()
 	}
 	fs := flag.NewFlagSet(os.Args[1], flag.ExitOnError)
@@ -29,6 +30,9 @@ func main() {
 	rate := fs.Float64("rate", 0, "mean arrival rate in jobs/s (0 = default)")
 	out := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(os.Args[2:])
+	if *jobs < 1 {
+		cliutil.Failf("mcmodel", "-jobs %d must be >= 1", *jobs)
+	}
 
 	cfg := wmodel.Default()
 	if *procs > 0 {
@@ -79,9 +83,6 @@ func main() {
 		fmt.Printf("power-of-two mass   %.3f\n", ls.PowerOfTwoMass)
 		fmt.Printf("mean service        %.1f s (CV %.2f, max %.1f)\n",
 			ls.MeanService, ls.ServiceCV, ls.MaxService)
-
-	default:
-		usage()
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"coalloc/internal/cliutil"
 	"coalloc/internal/dastrace"
 )
 
@@ -27,6 +28,9 @@ func main() {
 		seed := fs.Uint64("seed", 0, "random seed (0 = default)")
 		out := fs.String("o", "", "output file (default stdout)")
 		fs.Parse(os.Args[2:])
+		if *jobs < 0 {
+			cliutil.Failf("mctrace", "-jobs %d must be >= 0 (0 = default)", *jobs)
+		}
 		cfg := dastrace.DefaultConfig()
 		if *jobs > 0 {
 			cfg.NumJobs = *jobs
@@ -84,6 +88,10 @@ func main() {
 		to := fs.Float64("to", -1, "window end in seconds")
 		out := fs.String("o", "", "output file (default stdout)")
 		fs.Parse(os.Args[2:])
+		window := *from >= 0 || *to >= 0
+		if window && (*from < 0 || *to <= *from) {
+			cliutil.Failf("mctrace", "-from %g -to %g: set both, with 0 <= -from < -to", *from, *to)
+		}
 		recs := loadLog(fs.Args())
 		if *maxSize > 0 {
 			recs = dastrace.FilterMaxSize(recs, *maxSize)
@@ -91,7 +99,7 @@ func main() {
 		if *maxService > 0 {
 			recs = dastrace.FilterMaxService(recs, *maxService)
 		}
-		if *from >= 0 && *to > *from {
+		if window {
 			recs = dastrace.FilterWindow(recs, *from, *to)
 		}
 		recs = dastrace.Renumber(recs)

@@ -24,16 +24,6 @@ func MM1MeanResponse(lambda, mu float64) float64 {
 	return 1 / (mu - lambda)
 }
 
-// MM1MeanQueueLength returns the mean number in system of an M/M/1 queue:
-// rho/(1-rho).
-func MM1MeanQueueLength(lambda, mu float64) float64 {
-	rho := lambda / mu
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho)
-}
-
 // ErlangB returns the Erlang-B blocking probability for offered load a
 // (in Erlangs) and c servers, computed by the standard stable recurrence.
 func ErlangB(a float64, c int) float64 {
@@ -80,31 +70,6 @@ func MMcMeanResponse(lambda, mu float64, c int) float64 {
 	}
 	wq := ErlangC(a, c) / (float64(c)*mu - lambda)
 	return wq + 1/mu
-}
-
-// MMcMeanWait returns the mean waiting time (excluding service) of an
-// M/M/c queue.
-func MMcMeanWait(lambda, mu float64, c int) float64 {
-	r := MMcMeanResponse(lambda, mu, c)
-	if math.IsInf(r, 1) {
-		return r
-	}
-	return r - 1/mu
-}
-
-// MG1MeanResponse returns the Pollaczek-Khinchine mean response time of an
-// M/G/1 queue with arrival rate lambda, mean service time es and service
-// coefficient of variation cv.
-func MG1MeanResponse(lambda, es, cv float64) float64 {
-	if lambda < 0 || es <= 0 || cv < 0 {
-		panic(fmt.Sprintf("analysis: MG1MeanResponse(%g, %g, %g)", lambda, es, cv))
-	}
-	rho := lambda * es
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	wq := lambda * es * es * (1 + cv*cv) / (2 * (1 - rho))
-	return es + wq
 }
 
 // BatchServerMaxUtilization bounds the maximal utilization of a

@@ -16,12 +16,6 @@ func TestMM1(t *testing.T) {
 	if !math.IsInf(MM1MeanResponse(1, 1), 1) {
 		t.Error("unstable M/M/1 should be +Inf")
 	}
-	if got := MM1MeanQueueLength(0.5, 1); got != 1 {
-		t.Errorf("MM1MeanQueueLength(0.5,1) = %g", got)
-	}
-	if !math.IsInf(MM1MeanQueueLength(2, 1), 1) {
-		t.Error("unstable queue length should be +Inf")
-	}
 	func() {
 		defer func() { recover() }()
 		MM1MeanResponse(-1, 1)
@@ -95,34 +89,11 @@ func TestMMcReducesToMM1(t *testing.T) {
 }
 
 func TestMMcWaitAndStability(t *testing.T) {
-	w := MMcMeanWait(2.8, 1, 4)
-	if w <= 0 {
+	if w := MMcMeanResponse(2.8, 1, 4) - 1; w <= 0 {
 		t.Errorf("wait %g at rho=0.7", w)
 	}
 	if !math.IsInf(MMcMeanResponse(4, 1, 4), 1) {
 		t.Error("unstable M/M/c should be +Inf")
-	}
-	if !math.IsInf(MMcMeanWait(4, 1, 4), 1) {
-		t.Error("unstable M/M/c wait should be +Inf")
-	}
-}
-
-func TestMG1PollaczekKhinchine(t *testing.T) {
-	// With cv=1 (exponential), M/G/1 reduces to M/M/1.
-	lambda, es := 0.5, 1.0
-	mg1 := MG1MeanResponse(lambda, es, 1)
-	mm1 := MM1MeanResponse(lambda, 1/es)
-	if !almost(mg1, mm1, 1e-9) {
-		t.Errorf("M/G/1 with cv=1: %g vs M/M/1 %g", mg1, mm1)
-	}
-	// Deterministic service halves the waiting time.
-	det := MG1MeanResponse(lambda, es, 0)
-	wantWq := (mm1 - es) / 2
-	if !almost(det-es, wantWq, 1e-9) {
-		t.Errorf("M/D/1 wait %g, want %g", det-es, wantWq)
-	}
-	if !math.IsInf(MG1MeanResponse(2, 1, 1), 1) {
-		t.Error("unstable M/G/1 should be +Inf")
 	}
 }
 

@@ -3,8 +3,49 @@ package core
 import (
 	"testing"
 
+	"coalloc/internal/cluster"
 	"coalloc/internal/faults"
+	"coalloc/internal/rng"
 )
+
+// TestDispatchZeroAlloc pins the simulator's side of a job's life at zero
+// allocations in a warmed, measuring run: Dispatch (the placement copy
+// carved from the arena, the allocation, the utilization integrals, the
+// departure event) and the matching departure (release, response-time
+// statistics, the policy's departure pass) must not touch the heap.
+func TestDispatchZeroAlloc(t *testing.T) {
+	sys := system{clusters: []int{32, 32, 32, 32}, policy: "GS", fit: cluster.WorstFit}
+	pol, err := sys.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSimulation(sys, pol, rng.NewSource(1), "core", noCount)
+	defer s.recycle()
+	s.spec = testSpec(t, 16, 4)
+	s.startMeasuring(0)
+	// A mix of 1-, 2- and 3-component totals, cycled deterministically.
+	sizes := []int{5, 24, 48, 17, 3, 31}
+	clusters := []int{0, 1, 2, 3}
+	cycle := func() {
+		s.arena.Reset()
+		j := s.spec.JobFromDraws(s.arena, sizes[s.nextID%int64(len(sizes))], 100)
+		s.nextID++
+		j.ID = s.nextID
+		j.ArrivalTime = s.eng.Now()
+		s.Dispatch(j, clusters[:len(j.Components)])
+		if !s.eng.Step() || j.FinishTime != s.eng.Now() || s.m.Busy() != 0 {
+			t.Fatalf("job %d did not depart", j.ID)
+		}
+	}
+	// Warm up: let the arena, the event pool and the statistics reach
+	// their working size.
+	for i := 0; i < 200; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(2000, cycle); a != 0 {
+		t.Fatalf("Dispatch plus departure allocates %.2f times per job, want 0", a)
+	}
+}
 
 // TestAllocationsFlatInRunLength pins the "off means free" contracts of
 // the fault and decision layers in a machine-independent form: with a

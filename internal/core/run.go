@@ -218,8 +218,6 @@ func (s *simulation) Scratch() *policies.Scratch { return s.scratch }
 // Dispatch allocates the placement and schedules the departure
 // (policies.Ctx). The placement argument may live in pass scratch, so the
 // stable per-job copy is carved from the run's arena.
-//
-//detlint:noalloc
 func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	now := s.eng.Now()
 	j.StartTime = now

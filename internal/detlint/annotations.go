@@ -1,49 +1,28 @@
 package detlint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// Function annotations extend the rule set with facts the analyzers
-// cannot infer:
+// The //detlint:scratch annotation extends the rule set with a fact the
+// analyzers cannot infer: the function returns pass-scoped scratch
+// storage (the profile returns its retained arrays), and scratchescape
+// tracks its results exactly like slices pulled from
+// policies.Ctx.Scratch().
 //
-//	//detlint:noalloc — the function body must not heap-allocate; the
-//	  noalloc analyzer verifies it against `go build -gcflags=-m` output.
-//	//detlint:scratch — the function returns pass-scoped scratch storage
-//	  (the profile returns its retained arrays); scratchescape tracks its
-//	  results exactly like slices pulled from policies.Ctx.Scratch().
-//
-// An annotation goes in the function's doc comment (a comment group
+// The annotation goes in the function's doc comment (a comment group
 // directly above the declaration). Anywhere else it silently does
 // nothing, so a floating annotation is reported under the pseudo-rule
 // "detlint".
-const (
-	noallocDirective = "detlint:noalloc"
-	scratchDirective = "detlint:scratch"
-)
-
-// annotation records one annotated function.
-type annotation struct {
-	fn   *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-	pos  token.Position // position of the directive comment
-}
-
-type annotations struct {
-	noalloc []*annotation // deterministic collection order
-	scratch map[*types.Func]bool
-}
+const scratchDirective = "detlint:scratch"
 
 // collectAnnotations scans every loaded package (facts must cover call
 // chains through non-target packages) and returns malformed-annotation
 // findings for the target packages.
 func collectAnnotations(mod *Module, targets []*Package) []Finding {
-	ann := &annotations{scratch: make(map[*types.Func]bool)}
+	scratch := make(map[*types.Func]bool)
 	target := make(map[*Package]bool, len(targets))
 	for _, pkg := range targets {
 		target[pkg] = true
@@ -58,36 +37,22 @@ func collectAnnotations(mod *Module, targets []*Package) []Finding {
 					continue
 				}
 				for _, c := range fd.Doc.List {
-					kind, ok := annotationKind(c)
-					if !ok {
+					if !isScratchAnnotation(c) {
 						continue
 					}
 					attached[c] = true
-					pos := mod.Fset.Position(c.Pos())
 					fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 					if fn == nil {
 						continue
 					}
-					switch kind {
-					case noallocDirective:
-						if fd.Body == nil {
-							if target[pkg] {
-								bad = append(bad, Finding{Rule: "detlint", Pos: pos,
-									Msg: fmt.Sprintf("//%s on a bodyless declaration; the escape gate needs a Go body", kind)})
-							}
-							continue
+					if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
+						if target[pkg] {
+							bad = append(bad, Finding{Rule: "detlint", Pos: mod.Fset.Position(c.Pos()),
+								Msg: "//" + scratchDirective + " on a function with no results; the annotation marks returned scratch"})
 						}
-						ann.noalloc = append(ann.noalloc, &annotation{fn: fn, decl: fd, pkg: pkg, pos: pos})
-					case scratchDirective:
-						if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
-							if target[pkg] {
-								bad = append(bad, Finding{Rule: "detlint", Pos: pos,
-									Msg: fmt.Sprintf("//%s on a function with no results; the annotation marks returned scratch", kind)})
-							}
-							continue
-						}
-						ann.scratch[fn] = true
+						continue
 					}
+					scratch[fn] = true
 				}
 			}
 			if !target[pkg] {
@@ -95,26 +60,21 @@ func collectAnnotations(mod *Module, targets []*Package) []Finding {
 			}
 			for _, group := range file.Comments {
 				for _, c := range group.List {
-					if kind, ok := annotationKind(c); ok && !attached[c] {
+					if isScratchAnnotation(c) && !attached[c] {
 						bad = append(bad, Finding{Rule: "detlint", Pos: mod.Fset.Position(c.Pos()),
-							Msg: fmt.Sprintf("//%s is not attached to a function declaration; put it in the doc comment directly above func", kind)})
+							Msg: "//" + scratchDirective + " is not attached to a function declaration; put it in the doc comment directly above func"})
 					}
 				}
 			}
 		}
 	}
-	mod.ann = ann
+	mod.scratch = scratch
 	return bad
 }
 
-// annotationKind reports which annotation a comment carries, if any.
-// Trailing prose after the directive word is allowed.
-func annotationKind(c *ast.Comment) (string, bool) {
+// isScratchAnnotation reports whether a comment carries the scratch
+// annotation. Trailing prose after the directive word is allowed.
+func isScratchAnnotation(c *ast.Comment) bool {
 	text := strings.TrimPrefix(c.Text, "//")
-	for _, kind := range [2]string{noallocDirective, scratchDirective} {
-		if text == kind || strings.HasPrefix(text, kind+" ") {
-			return kind, true
-		}
-	}
-	return "", false
+	return text == scratchDirective || strings.HasPrefix(text, scratchDirective+" ")
 }

@@ -11,11 +11,12 @@
 // The framework is deliberately built on the standard library alone —
 // go/ast, go/parser, go/token and go/types, with stdlib dependencies
 // resolved by the go/importer "source" importer — so the module keeps its
-// zero-dependency property.
+// zero-dependency property. It never runs the go toolchain: every rule
+// works from the parsed and type-checked source alone.
 //
 // # Rules
 //
-// Nine analyzers ship with the framework (see All), one per hazard.
+// Eight analyzers ship with the framework (see All), one per hazard.
 // Where a hazard can be laundered through a helper, its rule reports
 // both the direct use and, through a whole-module call graph over
 // go/types (see callgraph.go and DESIGN.md §14), the call site that
@@ -47,8 +48,6 @@
 //   - closecheck: a statement-level Close() or Flush() call whose error
 //     result is discarded; on buffered writers the Close error is the
 //     write error.
-//   - noalloc: a function annotated //detlint:noalloc must show no heap
-//     allocation in `go build -gcflags=-m` escape-analysis output.
 //
 // Finally, stalesuppress reports //detlint:ignore directives that
 // suppress nothing: a dead suppression hides the next real finding on
@@ -68,10 +67,9 @@
 //
 // # Annotations
 //
-// Two function annotations extend the rule set. They go in the function's
+// One function annotation extends the rule set. It goes in the function's
 // doc comment (or on the line directly above the declaration):
 //
-//	//detlint:noalloc — the function body must not allocate (see noalloc)
 //	//detlint:scratch — the function returns pass-scoped scratch storage;
 //	  scratchescape tracks its results like Ctx.Scratch() slices
 package detlint
@@ -100,7 +98,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoWallClock, NoGlobalRand, NoMapRange, EventRetain, JobRetain,
-		ScratchEscape, CloseCheck, NoAlloc, StaleSuppress,
+		ScratchEscape, CloseCheck, StaleSuppress,
 	}
 }
 
@@ -172,17 +170,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// reportAt records a finding at an already-resolved position. The
-// noalloc analyzer maps compiler diagnostics, which arrive as file:line
-// positions rather than token.Pos values.
-func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Rule: p.Analyzer.Name,
-		Pos:  pos,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Deterministic reports whether the package under analysis is in the
 // deterministic set (DeterministicPackages, relative to the module root).
 func (p *Pass) Deterministic() bool {
@@ -213,8 +200,7 @@ type Config struct {
 // Run loads the requested packages, applies the analyzers, filters
 // suppressed findings, reports stale suppressions, and returns the
 // survivors sorted by position. It returns an error for load failures
-// (no module, parse or type errors, a failed escape-analysis probe), not
-// for findings.
+// (no module, parse or type errors), not for findings.
 //
 // Each package is loaded and type-checked exactly once and the result is
 // shared by every analyzer; the per-package analyzer runs execute in
@@ -237,13 +223,6 @@ func Run(cfg Config) ([]Finding, error) {
 	annBad := collectAnnotations(mod, pkgs)
 	bad = append(bad, annBad...)
 	mod.buildFacts()
-	for _, a := range analyzers {
-		if a == NoAlloc {
-			if err := mod.buildNoAllocFacts(); err != nil {
-				return nil, err
-			}
-		}
-	}
 
 	// Per-package analysis, in parallel. Findings are collected into a
 	// per-package slice and merged in package order; the global sort

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -19,24 +18,7 @@ import (
 // in its sources: every marked line must be reported under exactly the
 // marked rules, and nothing else may be reported.
 func TestFixtureFindings(t *testing.T) {
-	checkFixtureModule(t, filepath.Join("testdata", "src", "detmod"))
-}
-
-// TestNoAllocFixture runs the suite over a module whose annotated
-// functions exercise the compiler escape gate: the probe shells out to
-// `go build -gcflags=-m`, so this lives outside the pure-Go fixture
-// test.
-func TestNoAllocFixture(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool not on PATH")
-	}
-	checkFixtureModule(t, filepath.Join("testdata", "src", "noallocmod"))
-}
-
-// checkFixtureModule compares Run's findings over one fixture module
-// against the module's want markers, in both directions.
-func checkFixtureModule(t *testing.T, dir string) {
-	t.Helper()
+	dir := filepath.Join("testdata", "src", "detmod")
 	findings, err := detlint.Run(detlint.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +92,7 @@ func parseWants(t *testing.T, root string) map[string]int {
 // TestMalformedSuppressions checks that directives without a rule,
 // without a reason, naming an unknown rule (including the retired
 // handleflow), or trying to silence the staleness reporter — plus a
-// floating //detlint:noalloc annotation — are reported under the
+// floating //detlint:scratch annotation — are reported under the
 // pseudo-rule "detlint".
 func TestMalformedSuppressions(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "badsuppress")

@@ -25,10 +25,9 @@ type Module struct {
 	std  types.Importer      // stdlib resolver (shared go/importer "source")
 
 	// Filled in by Run before the analysis phase; immutable during it.
-	sup   *suppressions // parsed //detlint:ignore directives
-	ann   *annotations  // //detlint:noalloc and //detlint:scratch sites
-	facts *moduleFacts  // call graph + dataflow summaries
-	escm  *escapeDiags  // parsed `go build -gcflags=-m` output (noalloc)
+	sup     *suppressions        // parsed //detlint:ignore directives
+	scratch map[*types.Func]bool // //detlint:scratch functions
+	facts   *moduleFacts         // call graph + dataflow summaries
 }
 
 // allPackages returns every successfully loaded package — the analysis

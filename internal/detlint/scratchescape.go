@@ -90,7 +90,7 @@ func buildScratchFacts(cg *callGraph) *scratchFacts {
 
 	// Annotated functions seed the returns facts: every reference-typed
 	// result of a //detlint:scratch function is scratch.
-	for fn := range cg.mod.ann.scratch {
+	for fn := range cg.mod.scratch {
 		sig, ok := fn.Type().(*types.Signature)
 		if !ok {
 			continue
@@ -296,7 +296,7 @@ func (sf *scratchFacts) checkFunc(p *Pass, cg *callGraph, fi *funcInfo) {
 	info := fi.pkg.Info
 	local := sf.derive(cg, fi)
 	spec := sf.ef.spec
-	exported := fi.fn.Exported() && !cg.mod.ann.scratch[fi.fn]
+	exported := fi.fn.Exported() && !cg.mod.scratch[fi.fn]
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:

@@ -15,7 +15,7 @@ var c = 0
 //detlint:ignore stalesuppress it reports dead directives and cannot be silenced
 var d = 0
 
-//detlint:noalloc
+//detlint:scratch
 
 // handleflow was folded into eventretain and jobretain; its name is no
 // longer a rule.

