@@ -17,11 +17,12 @@ verify: fmt-check
 test:
 	$(GO) test ./...
 
-# bench-test runs the tests of the benchmark module (bench/, a module of
-# its own that builds against the simulator through a replace directive):
-# its golden-output and compare tests, which the root `go test ./...`
-# never reaches.
+# bench-test vets and tests the benchmark module (bench/, a module of its
+# own that builds against the simulator through a replace directive): go
+# vet over bench/mcbench, then its golden-output and compare tests. The
+# root `go vet ./...` and `go test ./...` never reach this module.
 bench-test:
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 
 # lint runs go vet plus the detlint static-analysis suite, one rule per

@@ -178,6 +178,16 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mctrace", []string{"filter", "-from", "100", "-to", "50"}, "-from"},
 			{"mctrace", []string{"filter", "-from", "100"}, "-from"},
 			{"mctrace", []string{"filter", "-to", "50"}, "-to"},
+			{"mcsim", []string{"-util", "0"}, "-util"},
+			{"mcsim", []string{"-util", "-0.3"}, "-util"},
+			{"mcsim", []string{"-limit", "0"}, "-limit"},
+			{"mcsim", []string{"-reps", "0"}, "-reps"},
+			{"mcsim", []string{"-reps", "-3"}, "-reps"},
+			{"mcsim", []string{"-jobs", "0"}, "-jobs"},
+			{"mcreplay", []string{"-jobs", "-5"}, "-jobs"},
+			{"mcreplay", []string{"-load", "0"}, "-load"},
+			{"mcexp", []string{"-quick", "-reps", "-1", "table1"}, "-reps"},
+			{"mcexp", []string{"-quick", "-jobs", "-1", "table1"}, "-jobs"},
 		}
 		for _, c := range cases {
 			out := runExpectExit(t, 2, bin(c.bin), c.args...)

@@ -67,6 +67,14 @@ func main() {
 		params = experiments.QuickParams()
 	}
 	params.Seed = *seed
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"-reps", *reps}, {"-jobs", *measure}} {
+		if f.value < 0 {
+			cliutil.Failf("mcexp", "%s %d must be non-negative (0 = preset default)", f.name, f.value)
+		}
+	}
 	if *reps > 0 {
 		params.Replications = *reps
 	}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"coalloc/internal/cliutil"
@@ -36,6 +37,12 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
+	if *jobs < 0 {
+		cliutil.Failf("mcreplay", "-jobs %d must be >= 0 (0 = all)", *jobs)
+	}
+	if !(*load > 0) || math.IsInf(*load, 0) {
+		cliutil.Failf("mcreplay", "-load %g must be a positive finite number", *load)
+	}
 
 	if *pprofAddr != "" {
 		if err := obs.StartPprof(*pprofAddr); err != nil {

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -50,6 +51,20 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
+
+	// The arrival rate is derived from -util and the split from -limit
+	// before any library validation runs, so reject bad values here.
+	if !(*util > 0) || math.IsInf(*util, 0) {
+		cliutil.Failf("mcsim", "-util %g must be a positive finite number", *util)
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"-limit", *limit}, {"-jobs", *jobs}, {"-reps", *reps}} {
+		if f.value < 1 {
+			cliutil.Failf("mcsim", "%s %d must be >= 1", f.name, f.value)
+		}
+	}
 
 	if *pprofAddr != "" {
 		if err := obs.StartPprof(*pprofAddr); err != nil {

@@ -49,13 +49,11 @@ type Multicluster struct {
 	downTotal int   // total failed processors, cached
 	cap       int
 
-	// Reusable scratch so the per-event Fits/Alloc/Release checks are
+	// Reusable scratch so the per-event Alloc/Release checks are
 	// allocation-free. A Multicluster is single-simulation state and is
 	// never shared across goroutines, so plain fields suffice.
-	scrPlace []int
-	scrUsed  []bool
-	scrSeen  []bool
-	scrRel   []int
+	scrSeen []bool
+	scrRel  []int
 }
 
 // New returns a multicluster with the given per-cluster processor counts.
@@ -64,13 +62,11 @@ func New(sizes []int) *Multicluster {
 		panic("cluster: New with no clusters")
 	}
 	m := &Multicluster{
-		sizes:    make([]int, len(sizes)),
-		idle:     make([]int, len(sizes)),
-		down:     make([]int, len(sizes)),
-		scrPlace: make([]int, len(sizes)),
-		scrUsed:  make([]bool, len(sizes)),
-		scrSeen:  make([]bool, len(sizes)),
-		scrRel:   make([]int, len(sizes)),
+		sizes:   make([]int, len(sizes)),
+		idle:    make([]int, len(sizes)),
+		down:    make([]int, len(sizes)),
+		scrSeen: make([]bool, len(sizes)),
+		scrRel:  make([]int, len(sizes)),
 	}
 	for i, s := range sizes {
 		if s <= 0 {
@@ -151,30 +147,22 @@ func (m *Multicluster) Repair(c int) {
 	m.idle[c]++
 }
 
-// Place chooses distinct clusters for the components (which must be in
-// nonincreasing order) under the given fit rule. It returns the cluster
-// index per component and true, or nil and false when the request does not
-// fit. Place does not allocate; pair it with Alloc.
-func (m *Multicluster) Place(components []int, fit Fit) ([]int, bool) {
-	if len(components) > len(m.sizes) {
-		return nil, false
-	}
-	placement := make([]int, len(components))
-	used := make([]bool, len(m.sizes))
-	if !m.PlaceInto(components, fit, placement, used) {
-		return nil, false
-	}
-	return placement, true
-}
-
-// PlaceInto is Place writing into caller-provided buffers, for schedulers
-// that probe placements in a loop: placement needs room for one entry per
-// component and used for one entry per cluster. On success the chosen
-// cluster indices are in placement[:len(components)]; both buffers hold
-// unspecified values otherwise. PlaceInto never touches the heap.
+// PlaceInto chooses distinct clusters for the components (which must be in
+// nonincreasing order) under the given fit rule, writing into
+// caller-provided buffers: placement needs room for one entry per
+// component and used for one entry per cluster. It reports whether the
+// request fits now; on success the chosen cluster indices are in
+// placement[:len(components)], and both buffers hold unspecified values
+// otherwise. PlaceInto does not take the processors (pair it with Alloc)
+// and never touches the heap.
+//
+// With distinct-cluster placement, greedy fitting of the largest
+// component to the emptiest cluster is exactly what the paper's scheduler
+// does; PlaceInto deliberately reproduces that greedy test rather than
+// solving the (bipartite matching) feasibility problem optimally.
 func (m *Multicluster) PlaceInto(components []int, fit Fit, placement []int, used []bool) bool {
 	if len(components) == 0 {
-		panic("cluster: Place with no components")
+		panic("cluster: PlaceInto with no components")
 	}
 	return PlaceVector(m.idle, components, fit, placement, used)
 }
@@ -183,7 +171,7 @@ func (m *Multicluster) PlaceInto(components []int, fit Fit, placement []int, use
 // idle vector — the rule PlaceInto applies to the current idle counts,
 // for schedulers that evaluate hypothetical states (a reservation
 // profile's window minimum, a shadow vector). Components are placed in
-// order (nonincreasing, as in Place), each on the cluster the fit rule
+// order (nonincreasing, as in PlaceInto), each on the cluster the fit rule
 // picks among those not yet used with enough idle processors. placement
 // needs room for one entry per component and used for one entry per
 // cluster; the result is reported as in PlaceInto.
@@ -233,20 +221,6 @@ func PlaceVector(idle, components []int, fit Fit, placement []int, used []bool) 
 		placement[ci] = best
 	}
 	return true
-}
-
-// Fits reports whether the components could be placed right now under the
-// given fit rule, without allocating.
-//
-// Note that with distinct-cluster placement, greedy fitting of the largest
-// component to the emptiest cluster is exactly what the paper's scheduler
-// does; Fits deliberately reproduces that greedy test rather than solving
-// the (bipartite matching) feasibility problem optimally.
-func (m *Multicluster) Fits(components []int, fit Fit) bool {
-	if len(components) > len(m.sizes) {
-		return false
-	}
-	return m.PlaceInto(components, fit, m.scrPlace, m.scrUsed)
 }
 
 // FitsOn reports whether a single component of the given size fits on

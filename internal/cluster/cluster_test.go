@@ -7,6 +7,17 @@ import (
 	"coalloc/internal/rng"
 )
 
+// place is PlaceInto with fresh buffers: it returns the cluster index per
+// component and true, or nil and false when the request does not fit.
+func place(m *Multicluster, components []int, fit Fit) ([]int, bool) {
+	placement := make([]int, len(components))
+	used := make([]bool, m.NumClusters())
+	if !m.PlaceInto(components, fit, placement, used) {
+		return nil, false
+	}
+	return placement, true
+}
+
 func TestNewAndAccessors(t *testing.T) {
 	m := New([]int{32, 16, 8})
 	if m.NumClusters() != 3 || m.Capacity() != 56 {
@@ -43,7 +54,7 @@ func TestWorstFitPicksEmptiest(t *testing.T) {
 	m.Alloc([]int{8}, []int{1})
 	m.Alloc([]int{4}, []int{2})
 	m.Alloc([]int{16}, []int{3})
-	placement, ok := m.Place([]int{10, 10}, WorstFit)
+	placement, ok := place(m, []int{10, 10}, WorstFit)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -58,7 +69,7 @@ func TestBestFitPicksTightest(t *testing.T) {
 	m.Alloc([]int{8}, []int{1})  // idle 24
 	m.Alloc([]int{4}, []int{2})  // idle 28
 	m.Alloc([]int{16}, []int{3}) // idle 16
-	placement, ok := m.Place([]int{10}, BestFit)
+	placement, ok := place(m, []int{10}, BestFit)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -70,7 +81,7 @@ func TestBestFitPicksTightest(t *testing.T) {
 func TestFirstFitPicksLowestIndex(t *testing.T) {
 	m := New([]int{32, 32, 32, 32})
 	m.Alloc([]int{30}, []int{0}) // cluster 0 has 2 idle
-	placement, ok := m.Place([]int{10}, FirstFit)
+	placement, ok := place(m, []int{10}, FirstFit)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -81,7 +92,7 @@ func TestFirstFitPicksLowestIndex(t *testing.T) {
 
 func TestPlaceDistinctClusters(t *testing.T) {
 	m := New([]int{32, 32, 32, 32})
-	placement, ok := m.Place([]int{16, 16, 16, 16}, WorstFit)
+	placement, ok := place(m, []int{16, 16, 16, 16}, WorstFit)
 	if !ok {
 		t.Fatal("four components of 16 must fit on an empty 4x32 system")
 	}
@@ -97,21 +108,21 @@ func TestPlaceDistinctClusters(t *testing.T) {
 func TestPlaceRejects(t *testing.T) {
 	m := New([]int{32, 32, 32, 32})
 	// A fifth component cannot get a distinct cluster.
-	if _, ok := m.Place([]int{1, 1, 1, 1, 1}, WorstFit); ok {
+	if _, ok := place(m, []int{1, 1, 1, 1, 1}, WorstFit); ok {
 		t.Error("five components placed on four clusters")
 	}
 	// One oversized component.
-	if _, ok := m.Place([]int{33}, WorstFit); ok {
+	if _, ok := place(m, []int{33}, WorstFit); ok {
 		t.Error("33 processors placed on a 32-cluster")
 	}
 	// Total fits but distinct clusters do not: two components of 20.
 	m.Alloc([]int{20}, []int{0})
 	m.Alloc([]int{20}, []int{1})
 	m.Alloc([]int{20}, []int{2})
-	if _, ok := m.Place([]int{20, 20}, WorstFit); ok {
+	if _, ok := place(m, []int{20, 20}, WorstFit); ok {
 		t.Error("two 20s placed when only one cluster has 20 idle")
 	}
-	if !m.Fits([]int{20}, WorstFit) {
+	if _, ok := place(m, []int{20}, WorstFit); !ok {
 		t.Error("a single 20 should still fit")
 	}
 }
@@ -127,7 +138,7 @@ func TestGreedyWFNotOptimal(t *testing.T) {
 	// two components; document the deliberate greedy semantics instead.
 	m := New([]int{24, 16})
 	m.Alloc([]int{8}, []int{1}) // idle 24, 8
-	placement, ok := m.Place([]int{16, 8}, WorstFit)
+	placement, ok := place(m, []int{16, 8}, WorstFit)
 	if !ok || placement[0] != 0 || placement[1] != 1 {
 		t.Errorf("placement %v ok=%v, want [0 1]", placement, ok)
 	}
@@ -283,10 +294,10 @@ func TestReset(t *testing.T) {
 func TestPlaceEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Place with no components did not panic")
+			t.Error("PlaceInto with no components did not panic")
 		}
 	}()
-	New([]int{32}).Place(nil, WorstFit)
+	place(New([]int{32}), nil, WorstFit)
 }
 
 func TestFitString(t *testing.T) {
@@ -325,7 +336,7 @@ func TestRandomAllocReleaseConservation(t *testing.T) {
 						comps[i] = comps[i-1]
 					}
 				}
-				if placement, ok := m.Place(comps, fits[r.Intn(3)]); ok {
+				if placement, ok := place(m, comps, fits[r.Intn(3)]); ok {
 					m.Alloc(comps, placement)
 					live = append(live, alloc{comps, placement})
 				}
@@ -373,7 +384,7 @@ func TestPlaceNeverOverfills(t *testing.T) {
 				comps[i] = comps[i-1]
 			}
 		}
-		placement, ok := m.Place(comps, WorstFit)
+		placement, ok := place(m, comps, WorstFit)
 		if !ok {
 			return true
 		}

@@ -54,6 +54,41 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunAtUtilizationRejectsBadInput: the arrival rate is derived from
+// the spec and the utilization, so bad values of either come back as an
+// error instead of a panic inside the derivation.
+func TestRunAtUtilizationRejectsBadInput(t *testing.T) {
+	base := Config{
+		ClusterSizes: []int{32, 32, 32, 32},
+		Spec:         testSpec(t, 16, 4),
+		Policy:       "LS",
+		WarmupJobs:   10,
+		MeasureJobs:  100,
+	}
+	noLimit := base
+	noLimit.Spec.ComponentLimit = 0
+	noClusters := base
+	noClusters.ClusterSizes = []int{0, 0, 0, 0}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		util float64
+		want string
+	}{
+		{"zero limit", noLimit, 0.5, "component limit"},
+		{"zero util", base, 0, "utilization"},
+		{"negative util", base, -0.3, "utilization"},
+		{"NaN util", base, math.NaN(), "utilization"},
+		{"infinite util", base, math.Inf(1), "utilization"},
+		{"no processors", noClusters, 0.5, "processors"},
+	} {
+		_, err := RunAtUtilization(c.cfg, c.util)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestRunSeedsDiffer(t *testing.T) {
 	cfg := Config{
 		ClusterSizes: []int{32, 32, 32, 32},

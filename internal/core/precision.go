@@ -134,10 +134,9 @@ func RunUntilPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 		if n < cfg.MinReplications {
 			continue
 		}
-		hw := stats.TQuantile(resp.N()-1, 0.95) * resp.StdDev() / math.Sqrt(float64(resp.N()))
 		rel := math.Inf(1)
 		if resp.Mean() != 0 {
-			rel = hw / math.Abs(resp.Mean())
+			rel = resp.HalfWidth() / math.Abs(resp.Mean())
 		}
 		if rel <= cfg.RelativePrecision || n == cfg.MaxReplications {
 			// mergeReplications computes the across-replication mean and

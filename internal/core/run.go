@@ -257,7 +257,7 @@ func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	}
 }
 
-// handleEvent dispatches the typed events of the simulation loop.
+// handleEvent dispatches the events of the simulation loop by kind.
 func (s *simulation) handleEvent(kind int32, payload any) {
 	switch kind {
 	case evArrival:
@@ -530,7 +530,7 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		Policy:             cfg.Policy,
 		MeanResponse:       s.respAll.Mean(),
-		RespHalfWidth:      s.batch.HalfWidth(0.95),
+		RespHalfWidth:      s.batch.HalfWidth(),
 		MeanResponseLocal:  meanOrNaN(&s.respLocal),
 		MeanResponseGlobal: meanOrNaN(&s.respGlobal),
 		MedianResponse:     s.quantiles.Q50.Value(),
@@ -629,13 +629,24 @@ func boundedSlowdown(response, service float64) float64 {
 }
 
 // RunAtUtilization is a convenience wrapper that sets the arrival rate to
-// offer the given gross utilization before running.
+// offer the given gross utilization before running. The workload spec and
+// the utilization are validated first, since the arrival rate is derived
+// from both.
 func RunAtUtilization(cfg Config, grossUtil float64) (Result, error) {
+	if err := checkSpec(cfg.Spec, len(cfg.ClusterSizes)); err != nil {
+		return Result{}, err
+	}
+	if !(grossUtil > 0) || math.IsInf(grossUtil, 0) {
+		return Result{}, fmt.Errorf("core: gross utilization %g must be positive and finite", grossUtil)
+	}
 	var capacity int
 	for _, s := range cfg.ClusterSizes {
 		capacity += s
 	}
-	cfg.ArrivalRate = cfg.Spec.ArrivalRateForGrossUtilization(grossUtil, capacity)
+	if capacity > 0 {
+		cfg.ArrivalRate = cfg.Spec.ArrivalRateForGrossUtilization(grossUtil, capacity)
+	}
+	// Run rejects non-positive cluster sizes itself.
 	return Run(cfg)
 }
 
@@ -745,11 +756,7 @@ func mergeReplications(results []Result) Result {
 		merged.Policy = r.Policy
 	}
 	merged.MeanResponse = resp.Mean()
-	if n >= 2 {
-		merged.RespHalfWidth = stats.TQuantile(int64(n-1), 0.95) * resp.StdDev() / math.Sqrt(float64(n))
-	} else {
-		merged.RespHalfWidth = math.Inf(1)
-	}
+	merged.RespHalfWidth = resp.HalfWidth()
 	merged.MeanResponseLocal = meanOrNaN(&respLocal)
 	merged.MeanResponseGlobal = meanOrNaN(&respGlobal)
 	merged.MedianResponse = meanOrNaN(&median)

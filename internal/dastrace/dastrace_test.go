@@ -174,8 +174,12 @@ func TestSizeDensity(t *testing.T) {
 func TestServiceHistogram(t *testing.T) {
 	recs := []Record{{Service: 10}, {Service: 890}, {Service: 1500}}
 	h := ServiceHistogram(recs, 900, 9)
-	if h.Total() != 2 {
-		t.Errorf("histogram counted %d jobs, want 2 (<=900)", h.Total())
+	var n int64
+	for i := 0; i < h.Bins(); i++ {
+		n += h.Count(i)
+	}
+	if n != 2 {
+		t.Errorf("histogram counted %d jobs, want 2 (<=900)", n)
 	}
 }
 

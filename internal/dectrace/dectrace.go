@@ -152,9 +152,6 @@ func (t *Tracer) SetSink(sink func(*Record)) {
 	t.sink = sink
 }
 
-// Enabled reports whether a tracer is attached.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // ensureScratch sizes the probe buffers for a system of nc clusters.
 func (t *Tracer) ensureScratch(nc int) {
 	if cap(t.place) < nc {

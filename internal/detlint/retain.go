@@ -8,9 +8,9 @@ import (
 // EventRetain flags code that stores sim.Event handles where they can
 // outlive the event. The kernel recycles event slots through a
 // generation-checked pool: the moment an event fires or is cancelled its
-// slot is reused, and a retained handle silently goes stale (Cancel and
-// Pending report false for the wrong reason, and a colliding generation
-// would act on someone else's event). Handles are meant to be used
+// slot is reused, and a retained handle silently goes stale (Cancel
+// reports false for the wrong reason, and a colliding generation would
+// act on someone else's event). Handles are meant to be used
 // immediately or not kept at all; durable state belongs in (time,
 // payload) form.
 //

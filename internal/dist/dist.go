@@ -1,8 +1,7 @@
 // Package dist provides the random-variate generators the workload model
 // draws from: the exponential interarrival times of the paper's open
 // system, empirical distributions sampled from the (synthetic) DAS trace,
-// and a set of parametric distributions used to synthesize the trace and to
-// run sensitivity ablations.
+// and the gamma distribution the parametric workload model fits.
 package dist
 
 import (
@@ -16,14 +15,6 @@ import (
 type Continuous interface {
 	// Sample draws one variate using the given stream.
 	Sample(r *rng.Stream) float64
-	// Mean returns the expected value.
-	Mean() float64
-}
-
-// Discrete is an integer-valued distribution.
-type Discrete interface {
-	// Sample draws one variate using the given stream.
-	Sample(r *rng.Stream) int
 	// Mean returns the expected value.
 	Mean() float64
 }
@@ -48,110 +39,6 @@ func (d Exponential) Sample(r *rng.Stream) float64 { return r.Exp(d.Rate) }
 
 // Mean returns 1/Rate.
 func (d Exponential) Mean() float64 { return 1 / d.Rate }
-
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws a uniform variate.
-func (d Uniform) Sample(r *rng.Stream) float64 { return d.Lo + (d.Hi-d.Lo)*r.Float64() }
-
-// Mean returns the midpoint of the interval.
-func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
-
-// Deterministic always returns Value. Useful for sanity checks against
-// closed-form queueing results.
-type Deterministic struct {
-	Value float64
-}
-
-// Sample returns the constant value.
-func (d Deterministic) Sample(*rng.Stream) float64 { return d.Value }
-
-// Mean returns the constant value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-// Lognormal is the distribution of exp(N(Mu, Sigma^2)). The synthetic DAS
-// service-time density uses a truncated lognormal body: multiprocessor
-// service times are strongly right-skewed.
-type Lognormal struct {
-	Mu, Sigma float64
-}
-
-// Sample draws a lognormal variate.
-func (d Lognormal) Sample(r *rng.Stream) float64 {
-	return math.Exp(d.Mu + d.Sigma*r.Normal())
-}
-
-// Mean returns exp(Mu + Sigma^2/2).
-func (d Lognormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// Hyperexponential is a probabilistic mixture of exponentials — the
-// classic high-variance service model; used in ablations.
-type Hyperexponential struct {
-	Probs []float64
-	Rates []float64
-}
-
-// NewHyperexponential validates and returns a mixture of exponentials.
-func NewHyperexponential(probs, rates []float64) Hyperexponential {
-	if len(probs) != len(rates) || len(probs) == 0 {
-		panic("dist: hyperexponential needs matching non-empty probs and rates")
-	}
-	var sum float64
-	for i, p := range probs {
-		if p < 0 || rates[i] <= 0 {
-			panic("dist: hyperexponential needs non-negative probs and positive rates")
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		panic(fmt.Sprintf("dist: hyperexponential probs sum to %g, want 1", sum))
-	}
-	return Hyperexponential{Probs: probs, Rates: rates}
-}
-
-// Sample draws from the mixture.
-func (d Hyperexponential) Sample(r *rng.Stream) float64 {
-	u := r.Float64()
-	var acc float64
-	for i, p := range d.Probs {
-		acc += p
-		if u < acc {
-			return r.Exp(d.Rates[i])
-		}
-	}
-	return r.Exp(d.Rates[len(d.Rates)-1])
-}
-
-// Mean returns the mixture mean.
-func (d Hyperexponential) Mean() float64 {
-	var m float64
-	for i, p := range d.Probs {
-		m += p / d.Rates[i]
-	}
-	return m
-}
-
-// Erlang is the sum of K independent exponentials of the given rate —
-// a low-variance service model used in ablations.
-type Erlang struct {
-	K    int
-	Rate float64
-}
-
-// Sample draws an Erlang variate as a sum of exponentials.
-func (d Erlang) Sample(r *rng.Stream) float64 {
-	var sum float64
-	for i := 0; i < d.K; i++ {
-		sum += r.Exp(d.Rate)
-	}
-	return sum
-}
-
-// Mean returns K/Rate.
-func (d Erlang) Mean() float64 { return float64(d.K) / d.Rate }
 
 // Gamma is the gamma distribution with the given shape and rate (mean
 // Shape/Rate). Sampling uses the Marsaglia-Tsang squeeze method, with the
@@ -201,38 +88,3 @@ func (d Gamma) Sample(r *rng.Stream) float64 {
 
 // Mean returns Shape/Rate.
 func (d Gamma) Mean() float64 { return d.Shape / d.Rate }
-
-// Variance returns Shape/Rate^2.
-func (d Gamma) Variance() float64 { return d.Shape / (d.Rate * d.Rate) }
-
-// TruncatedAbove resamples Base until the variate does not exceed Max. It
-// models the DAS's 15-minute working-hours kill limit: the published
-// DAS-t-900 distribution is the log cut off at 900 seconds.
-type TruncatedAbove struct {
-	Base Continuous
-	Max  float64
-}
-
-// Sample draws by rejection; it panics after a bounded number of attempts
-// so that an impossible truncation is diagnosed instead of looping forever.
-func (d TruncatedAbove) Sample(r *rng.Stream) float64 {
-	for i := 0; i < 1_000_000; i++ {
-		x := d.Base.Sample(r)
-		if x <= d.Max {
-			return x
-		}
-	}
-	panic(fmt.Sprintf("dist: truncation at %g rejected 1e6 samples", d.Max))
-}
-
-// Mean estimates the truncated mean by quadrature over a large sample; the
-// estimate is deterministic because it uses a fixed internal stream.
-func (d TruncatedAbove) Mean() float64 {
-	r := rng.NewStream(0x7ac0_beef)
-	var w float64
-	const n = 200_000
-	for i := 0; i < n; i++ {
-		w += d.Sample(r)
-	}
-	return w / n
-}

@@ -249,17 +249,3 @@ func (d *EmpiricalCont) Max() float64 { return d.max }
 
 // Len returns the number of observations.
 func (d *EmpiricalCont) Len() int { return len(d.sample) }
-
-// CutAt returns a new distribution keeping only observations <= max.
-func (d *EmpiricalCont) CutAt(max float64) *EmpiricalCont {
-	var kept []float64
-	for _, x := range d.sample {
-		if x <= max {
-			kept = append(kept, x)
-		}
-	}
-	if len(kept) == 0 {
-		panic(fmt.Sprintf("dist: CutAt(%g) removes every observation", max))
-	}
-	return NewEmpiricalCont(kept)
-}

@@ -10,7 +10,7 @@ import (
 // fingerprints sample identically from identical stream states, so caches
 // may treat them as the same distribution.
 //
-// The parametric distributions (Exponential, Lognormal, ...) are plain
+// The parametric distributions (Exponential, Gamma) are plain
 // value types whose parameters print completely — FingerprintOf covers
 // them without this interface.
 type Fingerprinter interface {
@@ -66,11 +66,6 @@ func (d *EmpiricalCont) Fingerprint() uint64 {
 func FingerprintOf(d any) string {
 	if fp, ok := d.(Fingerprinter); ok {
 		return fmt.Sprintf("%T#%016x", d, fp.Fingerprint())
-	}
-	if t, ok := d.(TruncatedAbove); ok {
-		// Recurse into the wrapped base: printing it with %+v would
-		// render interface-held pointers as addresses.
-		return fmt.Sprintf("dist.TruncatedAbove{Base:%s Max:%g}", FingerprintOf(t.Base), t.Max)
 	}
 	return fmt.Sprintf("%T%+v", d, d)
 }

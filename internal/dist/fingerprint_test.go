@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestEmpiricalIntFingerprintValueIdentity(t *testing.T) {
 	a := NewEmpiricalInt([]int{1, 2, 4}, []float64{0.5, 0.3, 0.2})
@@ -48,14 +45,5 @@ func TestFingerprintOf(t *testing.T) {
 	}
 	if FingerprintOf(NewExponential(1)) == FingerprintOf(NewExponential(2)) {
 		t.Error("different rates render identically")
-	}
-	// TruncatedAbove must recurse, not print the wrapped pointer.
-	w1 := FingerprintOf(TruncatedAbove{Base: NewEmpiricalCont([]float64{1, 2}), Max: 900})
-	w2 := FingerprintOf(TruncatedAbove{Base: NewEmpiricalCont([]float64{1, 2}), Max: 900})
-	if w1 != w2 {
-		t.Errorf("value-equal truncations render differently: %q vs %q", w1, w2)
-	}
-	if strings.Contains(w1, "0x") {
-		t.Errorf("truncation identity leaks a pointer: %q", w1)
 	}
 }

@@ -254,34 +254,6 @@ func (e *Env) series(name string, results []core.Result) plot.Series {
 	return s
 }
 
-// Curve sweeps the utilization grid for one configuration and returns the
-// measured (gross utilization, mean response time) series. The points run
-// concurrently (see parallel.go); the curve still ends at the first
-// saturated point or once the response cap is exceeded.
-func (e *Env) Curve(cs CurveSpec) (plot.Series, error) {
-	out, err := e.Curves([]CurveSpec{cs})
-	if err != nil {
-		return plot.Series{Name: cs.Label}, err
-	}
-	return out[0], nil
-}
-
-// CurveNet is like Curve but returns two series over the same runs: the
-// response time against the measured gross utilization and against the
-// measured net utilization (for Fig. 7).
-func (e *Env) CurveNet(cs CurveSpec) (gross, net plot.Series, err error) {
-	gross = plot.Series{Name: cs.Label + " gross"}
-	net = plot.Series{Name: cs.Label + " net"}
-	results, err := e.sweep(cs.Label, e.Utilizations, func(u float64) (core.Result, error) {
-		return e.point(cs, u)
-	})
-	if err != nil {
-		return gross, net, err
-	}
-	gross, net = e.netSeries(cs.Label, results)
-	return gross, net, nil
-}
-
 // netSeries renders one curve's results into the gross- and
 // net-utilization series of Fig. 7.
 func (e *Env) netSeries(label string, results []core.Result) (gross, net plot.Series) {

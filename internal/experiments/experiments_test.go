@@ -180,12 +180,12 @@ func TestCurveStopsAtSaturation(t *testing.T) {
 		ClusterSizes: MulticlusterSizes,
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
-	s, err := env.Curve(cs)
+	curves, err := env.Curves([]CurveSpec{cs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Errorf("curve has %d points; the sweep should stop at the first saturated point", s.Len())
+	if n := len(curves[0].X); n != 2 {
+		t.Errorf("curve has %d points; the sweep should stop at the first saturated point", n)
 	}
 }
 
@@ -276,10 +276,11 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		ClusterSizes: MulticlusterSizes,
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
-	par, err := env.Curve(cs)
+	curves, err := env.Curves([]CurveSpec{cs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := curves[0]
 	var serial plot.Series
 	for _, u := range env.Utilizations {
 		res, err := env.point(cs, u)
@@ -291,8 +292,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 			break
 		}
 	}
-	if par.Len() != serial.Len() {
-		t.Fatalf("parallel %d points, serial %d", par.Len(), serial.Len())
+	if len(par.X) != len(serial.X) {
+		t.Fatalf("parallel %d points, serial %d", len(par.X), len(serial.X))
 	}
 	for i := range serial.X {
 		if par.X[i] != serial.X[i] || par.Y[i] != serial.Y[i] {

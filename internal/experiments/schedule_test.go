@@ -121,7 +121,7 @@ func TestProgressEffectiveCount(t *testing.T) {
 		ClusterSizes: MulticlusterSizes,
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
-	if _, err := env.Curve(cs); err != nil {
+	if _, err := env.Curves([]CurveSpec{cs}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

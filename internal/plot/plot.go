@@ -30,9 +30,6 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // markers are assigned to series in order.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 

@@ -11,7 +11,7 @@ func TestSeriesAdd(t *testing.T) {
 	var s Series
 	s.Add(1, 2)
 	s.Add(3, 4)
-	if s.Len() != 2 || s.X[1] != 3 || s.Y[1] != 4 {
+	if len(s.X) != 2 || s.X[1] != 3 || s.Y[1] != 4 {
 		t.Errorf("series %+v", s)
 	}
 }

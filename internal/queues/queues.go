@@ -254,9 +254,3 @@ func (s *EnableSet) EnableAllSorted() {
 	s.live = s.n
 	s.stale = true
 }
-
-// AnyEnabled reports whether at least one queue is enabled.
-func (s *EnableSet) AnyEnabled() bool { return s.live > 0 }
-
-// NumDisabled returns the number of disabled queues.
-func (s *EnableSet) NumDisabled() int { return len(s.disabled) }

@@ -112,7 +112,7 @@ func TestFIFOMatchesReference(t *testing.T) {
 
 func TestEnableSetInitial(t *testing.T) {
 	s := NewEnableSet(4)
-	if !s.AnyEnabled() || s.NumDisabled() != 0 {
+	if s.live == 0 || len(s.disabled) != 0 {
 		t.Error("fresh set should be fully enabled")
 	}
 	got := s.Enabled()
@@ -140,12 +140,12 @@ func TestEnableSetDisableRemovesFromOrder(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("enabled %v, want [1 3]", got)
 	}
-	if s.NumDisabled() != 2 {
-		t.Errorf("disabled count %d", s.NumDisabled())
+	if len(s.disabled) != 2 {
+		t.Errorf("disabled count %d", len(s.disabled))
 	}
 	// Disabling again is a no-op.
 	s.Disable(2)
-	if s.NumDisabled() != 2 {
+	if len(s.disabled) != 2 {
 		t.Error("double disable changed state")
 	}
 }
@@ -172,7 +172,7 @@ func TestEnableAllRestoresInDisableOrder(t *testing.T) {
 			t.Errorf("queue %d still disabled after EnableAll", q)
 		}
 	}
-	if s.NumDisabled() != 0 {
+	if len(s.disabled) != 0 {
 		t.Error("disabled list not cleared")
 	}
 }
@@ -181,8 +181,8 @@ func TestEnableSetAllDisabled(t *testing.T) {
 	s := NewEnableSet(2)
 	s.Disable(0)
 	s.Disable(1)
-	if s.AnyEnabled() {
-		t.Error("AnyEnabled with everything disabled")
+	if s.live > 0 {
+		t.Error("a queue is enabled with everything disabled")
 	}
 	s.EnableAll()
 	got := s.Enabled()
@@ -230,7 +230,7 @@ func TestEnableSetInvariant(t *testing.T) {
 					enabledCount++
 				}
 			}
-			if enabledCount != len(s.Enabled()) || enabledCount+s.NumDisabled() != n {
+			if enabledCount != len(s.Enabled()) || enabledCount+len(s.disabled) != n {
 				return false
 			}
 		}
@@ -290,7 +290,7 @@ func TestEnableSetOrderMatchesReference(t *testing.T) {
 					return false
 				}
 			}
-			if s.AnyEnabled() != (len(order) > 0) || s.NumDisabled() != len(disabled) {
+			if (s.live > 0) != (len(order) > 0) || len(s.disabled) != len(disabled) {
 				return false
 			}
 		}
@@ -454,7 +454,7 @@ func TestEnableAllSorted(t *testing.T) {
 			t.Errorf("queue %d disabled after EnableAllSorted", q)
 		}
 	}
-	if s.NumDisabled() != 0 {
+	if len(s.disabled) != 0 {
 		t.Error("disabled list not cleared")
 	}
 }

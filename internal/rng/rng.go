@@ -141,9 +141,6 @@ type Source struct {
 // NewSource returns a stream factory rooted at seed.
 func NewSource(seed uint64) *Source { return &Source{seed: seed} }
 
-// Seed returns the master seed of the source.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Stream returns the stream identified by name. Calling Stream twice with
 // the same name returns two streams in identical states.
 func (s *Source) Stream(name string) *Stream {

@@ -1,12 +1,13 @@
 // Package sim is a small discrete-event simulation kernel.
 //
 // It plays the role the commercial CSIM18 package plays in the paper: it
-// maintains a virtual clock and an ordered set of pending events, and runs
-// event handlers in nondecreasing time order. The kernel is deliberately
-// event-oriented rather than process-oriented: the multicluster model needs
-// only job arrivals and departures, and an explicit event loop keeps the
-// scheduler-policy code free of goroutines and therefore exactly
-// reproducible.
+// maintains a virtual clock and an ordered set of pending events, and hands
+// each event to one engine-wide handler in nondecreasing time order. An
+// event is a kind tag plus a payload (Schedule, ScheduleAfter). The kernel
+// is deliberately event-oriented rather than process-oriented: the
+// multicluster model needs only job arrivals and departures, and an
+// explicit event loop keeps the scheduler-policy code free of goroutines
+// and therefore exactly reproducible.
 //
 // Events scheduled for the same instant fire in the order they were
 // scheduled (FIFO tie-breaking on a monotone sequence number), which the
@@ -31,40 +32,24 @@ import (
 	"coalloc/internal/obs"
 )
 
-// Event is a handle to a scheduled callback. It is a small value (copy it
-// freely); the zero value is not useful — obtain events from At, After,
-// Schedule or ScheduleAfter. Handles are generation-checked: once the event
-// fires or is cancelled, the handle goes stale and Cancel/Pending report
-// false even if the kernel has recycled the underlying slot.
+// Event is a handle to a scheduled event. It is a small value (copy it
+// freely); the zero value is not useful — obtain events from Schedule or
+// ScheduleAfter. Handles are generation-checked: once the event fires or
+// is cancelled, the handle goes stale and Cancel reports false even if the
+// kernel has recycled the underlying slot.
 type Event struct {
-	e    *Engine
-	id   int32
-	gen  uint32
-	time float64
+	e   *Engine
+	id  int32
+	gen uint32
 }
 
-// Time returns the virtual time at which the event fires (or fired).
-func (ev Event) Time() float64 { return ev.time }
-
-// Pending reports whether the event is still queued.
-func (ev Event) Pending() bool {
-	if ev.e == nil {
-		return false
-	}
-	sl := &ev.e.slots[ev.id]
-	return sl.gen == ev.gen && sl.live
-}
-
-// slot is the arena record behind one scheduled event. Exactly one of fn
-// and (kind, payload) is meaningful: closure events carry fn, typed events
-// carry a kind tag and payload for the engine-wide handler.
+// slot is the arena record behind one scheduled event: the kind tag and
+// payload handed to the engine-wide handler when it fires.
 type slot struct {
-	fn      func()
 	payload any
 	kind    int32
 	gen     uint32 // bumped on release; stale handles/entries compare !=
 	next    int32  // free-list link, -1 = end
-	live    bool
 }
 
 // entry is one pending-event heap element: the full ordering key plus the
@@ -87,7 +72,6 @@ type Engine struct {
 	heap    []entry
 	slots   []slot
 	free    int32 // free-list head into slots, -1 = empty
-	live    int   // pending (scheduled and not cancelled) events
 	seq     uint64
 	stopped bool
 	steps   uint64
@@ -110,19 +94,11 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // cancelled).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
-// ArenaSize returns the number of slots in the event arena — the peak
-// pending-event population. Scheduled events beyond this count were served
-// by recycled slots (the pool steady state).
-func (e *Engine) ArenaSize() int { return len(e.slots) }
-
 // SetObserver attaches a run observer. The kernel never calls the
 // observer from its inner loop — observability must not perturb the event
 // hot path — so the observer only receives the engine's lifetime counters
 // when ReportStats is called, normally once at the end of a run.
 func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
-
-// Observer returns the attached observer (nil when none).
-func (e *Engine) Observer() *obs.Observer { return e.obs }
 
 // ReportStats dumps the engine's lifetime counters (events executed,
 // events scheduled, arena size) into the attached observer. It is safe to
@@ -131,73 +107,52 @@ func (e *Engine) ReportStats() {
 	e.obs.EngineStats(e.steps, e.seq, len(e.slots))
 }
 
-// ErrPastEvent is returned by At when the requested time precedes the clock.
-var ErrPastEvent = errors.New("sim: event scheduled in the past")
+// errPastEvent is the cause named when Schedule is asked for a time that
+// precedes the clock.
+var errPastEvent = errors.New("sim: event scheduled in the past")
 
-// SetHandler installs the dispatcher for typed events (Schedule,
-// ScheduleAfter). One handler serves the whole engine; the kind tag tells
-// it which event class fired. Typed events exist so that the simulation's
-// hot loop — arrivals and departures carrying a job pointer — needs no
-// per-event closure allocation.
+// SetHandler installs the event dispatcher. One handler serves the whole
+// engine; the kind tag tells it which event class fired. A tag and payload
+// instead of a closure per event is what lets the simulation's hot loop —
+// arrivals and departures carrying a job pointer — run without a
+// per-event allocation.
 func (e *Engine) SetHandler(h func(kind int32, payload any)) { e.handler = h }
 
-// At schedules fn to run at virtual time t. Scheduling at the current time
-// is allowed; the event runs after all events already scheduled for that
-// time. It panics if t precedes the current time or is not a finite number.
-func (e *Engine) At(t float64, fn func()) Event {
-	if fn == nil {
-		panic("sim: At with nil handler")
-	}
-	return e.schedule(t, fn, 0, nil)
-}
-
-// After schedules fn to run delay time units from now. Negative delays panic.
-func (e *Engine) After(delay float64, fn func()) Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: After(%g): negative delay", delay))
-	}
-	return e.At(e.now+delay, fn)
-}
-
-// Schedule schedules a typed event at virtual time t: when it fires, the
-// engine handler (SetHandler) receives the kind tag and the payload. The
-// same time-validation rules as At apply.
+// Schedule schedules an event at virtual time t: when it fires, the engine
+// handler (SetHandler) receives the kind tag and the payload. Scheduling
+// at the current time is allowed; the event runs after all events already
+// scheduled for that time. It panics if t precedes the current time or is
+// not a finite number.
+//
+// Slots come from the recycled pool and the heap entry is a value push,
+// so steady-state scheduling does not touch the garbage collector.
 func (e *Engine) Schedule(t float64, kind int32, payload any) Event {
 	if e.handler == nil {
 		panic("sim: Schedule without SetHandler")
 	}
-	return e.schedule(t, nil, kind, payload)
+	if t < e.now {
+		panic(fmt.Sprintf("sim: Schedule(%g) precedes now=%g: %v", t, e.now, errPastEvent))
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("sim: Schedule(%g): time must be finite", t))
+	}
+	id := e.allocSlot()
+	sl := &e.slots[id]
+	sl.kind = kind
+	sl.payload = payload
+	seq := e.seq
+	e.seq++
+	e.push(entry{time: t, seq: seq, id: id, gen: sl.gen})
+	return Event{e: e, id: id, gen: sl.gen}
 }
 
-// ScheduleAfter schedules a typed event delay time units from now.
+// ScheduleAfter schedules an event delay time units from now. Negative
+// delays panic.
 func (e *Engine) ScheduleAfter(delay float64, kind int32, payload any) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleAfter(%g): negative delay", delay))
 	}
 	return e.Schedule(e.now+delay, kind, payload)
-}
-
-// schedule is the kernel allocation path: slots come from the recycled
-// pool and the heap entry is a value push, so steady-state scheduling
-// must not touch the garbage collector.
-func (e *Engine) schedule(t float64, fn func(), kind int32, payload any) Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: At(%g) precedes now=%g: %v", t, e.now, ErrPastEvent))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: At(%g): time must be finite", t))
-	}
-	id := e.allocSlot()
-	sl := &e.slots[id]
-	sl.fn = fn
-	sl.kind = kind
-	sl.payload = payload
-	sl.live = true
-	seq := e.seq
-	e.seq++
-	e.push(entry{time: t, seq: seq, id: id, gen: sl.gen})
-	e.live++
-	return Event{e: e, id: id, gen: sl.gen, time: t}
 }
 
 // allocSlot pops a recycled slot or grows the arena.
@@ -215,9 +170,7 @@ func (e *Engine) allocSlot() int32 {
 // handles and heap entries via the generation bump.
 func (e *Engine) releaseSlot(id int32) {
 	sl := &e.slots[id]
-	sl.fn = nil
 	sl.payload = nil
-	sl.live = false
 	sl.gen++
 	sl.next = e.free
 	e.free = id
@@ -228,15 +181,10 @@ func (e *Engine) releaseSlot(id int32) {
 // Cancellation is O(1): the slot is recycled immediately and the heap entry
 // is dropped lazily when it surfaces at the top of the queue.
 func (e *Engine) Cancel(ev Event) bool {
-	if ev.e != e || ev.e == nil {
-		return false
-	}
-	sl := &e.slots[ev.id]
-	if sl.gen != ev.gen || !sl.live {
+	if ev.e != e || e.slots[ev.id].gen != ev.gen {
 		return false
 	}
 	e.releaseSlot(ev.id)
-	e.live--
 	return true
 }
 
@@ -245,8 +193,7 @@ func (e *Engine) Cancel(ev Event) bool {
 func (e *Engine) peek() (entry, bool) {
 	for len(e.heap) > 0 {
 		ent := e.heap[0]
-		sl := &e.slots[ent.id]
-		if sl.gen != ent.gen || !sl.live {
+		if e.slots[ent.id].gen != ent.gen {
 			e.pop()
 			continue
 		}
@@ -264,18 +211,13 @@ func (e *Engine) Step() bool {
 	}
 	e.pop()
 	sl := &e.slots[ent.id]
-	fn, kind, payload := sl.fn, sl.kind, sl.payload
+	kind, payload := sl.kind, sl.payload
 	// Recycle before running the handler so the slot is immediately
 	// reusable by events the handler schedules — the pool steady state.
 	e.releaseSlot(ent.id)
-	e.live--
 	e.now = ent.time
 	e.steps++
-	if fn != nil {
-		fn()
-	} else {
-		e.handler(kind, payload)
-	}
+	e.handler(kind, payload)
 	return true
 }
 
@@ -308,9 +250,6 @@ func (e *Engine) RunUntil(t float64) {
 // Stop makes the innermost Run or RunUntil return after the current event
 // handler completes. It may only be called from inside an event handler.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.live }
 
 // --- binary min-heap of entries ordered by (time, seq) ---
 //

@@ -1,19 +1,28 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestEventsRunInTimeOrder(t *testing.T) {
+// newEngine returns an engine whose handler calls func() payloads, so a
+// test can write each event's behaviour inline.
+func newEngine() *Engine {
 	e := New()
+	e.SetHandler(func(_ int32, payload any) { payload.(func())() })
+	return e
+}
+
+func TestEventsRunInTimeOrder(t *testing.T) {
+	e := newEngine()
 	var got []float64
 	times := []float64{5, 1, 3, 2, 4, 0.5, 2.5}
 	for _, tm := range times {
 		tm := tm
-		e.At(tm, func() { got = append(got, tm) })
+		e.Schedule(tm, 0, func() { got = append(got, tm) })
 	}
 	e.Run()
 	if !sort.Float64sAreSorted(got) {
@@ -28,11 +37,11 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1, func() { got = append(got, i) })
+		e.Schedule(1, 0, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -43,24 +52,24 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestAfterAccumulates(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var finish float64
-	e.After(1, func() {
-		e.After(2, func() {
+	e.ScheduleAfter(1, 0, func() {
+		e.ScheduleAfter(2, 0, func() {
 			finish = e.Now()
 		})
 	})
 	e.Run()
 	if finish != 3 {
-		t.Errorf("nested After finished at %g, want 3", finish)
+		t.Errorf("nested ScheduleAfter finished at %g, want 3", finish)
 	}
 }
 
 func TestScheduleAtNowRunsAfterCurrent(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var order []string
-	e.At(1, func() {
-		e.At(1, func() { order = append(order, "same-time") })
+	e.Schedule(1, 0, func() {
+		e.Schedule(1, 0, func() { order = append(order, "same-time") })
 		order = append(order, "first")
 	})
 	e.Run()
@@ -70,12 +79,9 @@ func TestScheduleAtNowRunsAfterCurrent(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := New()
+	e := newEngine()
 	ran := false
-	ev := e.At(1, func() { ran = true })
-	if !ev.Pending() {
-		t.Error("event should be pending before run")
-	}
+	ev := e.Schedule(1, 0, func() { ran = true })
 	if !e.Cancel(ev) {
 		t.Error("Cancel returned false for pending event")
 	}
@@ -89,12 +95,12 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var got []float64
 	var evs []Event
 	for _, tm := range []float64{1, 2, 3, 4, 5, 6, 7, 8} {
 		tm := tm
-		evs = append(evs, e.At(tm, func() { got = append(got, tm) }))
+		evs = append(evs, e.Schedule(tm, 0, func() { got = append(got, tm) }))
 	}
 	e.Cancel(evs[3]) // t=4
 	e.Cancel(evs[0]) // t=1
@@ -111,11 +117,12 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var ran []float64
-	for _, tm := range []float64{1, 2, 3, 4, 5} {
+	var evs []Event
+	for _, tm := range []float64{1, 2, 3, 4, 5, 6} {
 		tm := tm
-		e.At(tm, func() { ran = append(ran, tm) })
+		evs = append(evs, e.Schedule(tm, 0, func() { ran = append(ran, tm) }))
 	}
 	e.RunUntil(3)
 	if len(ran) != 3 {
@@ -124,8 +131,9 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock at %g after RunUntil(3)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("%d events pending, want 2", e.Pending())
+	// The events beyond the bound are still queued: cancelling one works.
+	if !e.Cancel(evs[5]) {
+		t.Error("event at t=6 is no longer queued after RunUntil(3)")
 	}
 	e.RunUntil(10)
 	if len(ran) != 5 {
@@ -137,10 +145,10 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := New()
+	e := newEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() {
+		e.Schedule(float64(i), 0, func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -159,41 +167,56 @@ func TestStop(t *testing.T) {
 }
 
 func TestPastEventPanics(t *testing.T) {
-	e := New()
-	e.At(5, func() {})
+	e := newEngine()
+	e.Schedule(5, 0, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
-			t.Error("At in the past did not panic")
+			t.Error("Schedule in the past did not panic")
 		}
 	}()
-	e.At(1, func() {})
+	e.Schedule(1, 0, func() {})
+}
+
+func TestNonFiniteTimePanics(t *testing.T) {
+	for _, tm := range []float64{math.NaN(), math.Inf(1)} {
+		func() {
+			e := newEngine()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Schedule(%g) did not panic", tm)
+				}
+			}()
+			e.Schedule(tm, 0, func() {})
+		}()
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	e := New()
+	e := newEngine()
 	defer func() {
 		if recover() == nil {
-			t.Error("After(-1) did not panic")
+			t.Error("ScheduleAfter(-1) did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.ScheduleAfter(-1, 0, func() {})
 }
 
 func TestNilHandlerPanics(t *testing.T) {
 	e := New()
+	e.SetHandler(nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("At with nil handler did not panic")
+			t.Error("Schedule with a nil handler installed did not panic")
 		}
 	}()
-	e.At(1, nil)
+	e.Schedule(1, 0, nil)
 }
 
 func TestSteps(t *testing.T) {
-	e := New()
+	e := newEngine()
 	for i := 0; i < 5; i++ {
-		e.At(float64(i), func() {})
+		e.Schedule(float64(i), 0, func() {})
 	}
 	e.Run()
 	if e.Steps() != 5 {
@@ -206,7 +229,7 @@ func TestSteps(t *testing.T) {
 func TestHeapRandomOrdering(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := New()
+		e := newEngine()
 		n := 50 + r.Intn(200)
 		type stamp struct {
 			time float64
@@ -216,7 +239,7 @@ func TestHeapRandomOrdering(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tm := float64(r.Intn(20)) // many ties
 			i := i
-			e.At(tm, func() { got = append(got, stamp{tm, i}) })
+			e.Schedule(tm, 0, func() { got = append(got, stamp{tm, i}) })
 		}
 		e.Run()
 		for i := 1; i < len(got); i++ {
@@ -239,7 +262,7 @@ func TestHeapRandomOrdering(t *testing.T) {
 func TestHeapRandomCancels(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := New()
+		e := newEngine()
 		type rec struct {
 			ev        Event
 			time      float64
@@ -250,7 +273,7 @@ func TestHeapRandomCancels(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			tm := r.Float64() * 100
 			rc := &rec{time: tm}
-			rc.ev = e.At(tm, func() { ran[rc] = true })
+			rc.ev = e.Schedule(tm, 0, func() { ran[rc] = true })
 			recs = append(recs, rc)
 		}
 		for _, rc := range recs {
@@ -275,16 +298,16 @@ func TestHeapRandomCancels(t *testing.T) {
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {
+	type job struct{ id int }
 	e := New()
-	var next func()
 	i := 0
-	next = func() {
+	e.SetHandler(func(kind int32, payload any) {
 		i++
 		if i < b.N {
-			e.After(1, next)
+			e.ScheduleAfter(1, kind, payload)
 		}
-	}
-	e.After(1, next)
+	})
+	e.ScheduleAfter(1, 0, &job{})
 	b.ResetTimer()
 	e.Run()
 }

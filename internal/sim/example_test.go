@@ -7,14 +7,27 @@ import (
 )
 
 // A minimal event-driven simulation: two events scheduled out of order run
-// in virtual-time order, and handlers can schedule further events.
+// in virtual-time order, and the handler can schedule further events.
 func Example() {
+	const (
+		first = iota
+		second
+		third
+	)
 	eng := sim.New()
-	eng.At(10, func() {
-		fmt.Printf("t=%g second\n", eng.Now())
-		eng.After(5, func() { fmt.Printf("t=%g third\n", eng.Now()) })
+	eng.SetHandler(func(kind int32, _ any) {
+		switch kind {
+		case first:
+			fmt.Printf("t=%g first\n", eng.Now())
+		case second:
+			fmt.Printf("t=%g second\n", eng.Now())
+			eng.ScheduleAfter(5, third, nil)
+		case third:
+			fmt.Printf("t=%g third\n", eng.Now())
+		}
 	})
-	eng.At(1, func() { fmt.Printf("t=%g first\n", eng.Now()) })
+	eng.Schedule(10, second, nil)
+	eng.Schedule(1, first, nil)
 	eng.Run()
 	// Output:
 	// t=1 first
@@ -22,17 +35,19 @@ func Example() {
 	// t=15 third
 }
 
-// RunUntil executes events up to a bound and leaves the rest pending.
+// RunUntil executes events up to a bound and leaves the rest queued.
 func ExampleEngine_RunUntil() {
 	eng := sim.New()
+	eng.SetHandler(func(_ int32, payload any) { fmt.Println("event at", payload) })
 	for _, t := range []float64{1, 2, 3} {
-		t := t
-		eng.At(t, func() { fmt.Println("event at", t) })
+		eng.Schedule(t, 0, t)
 	}
 	eng.RunUntil(2)
-	fmt.Println("pending:", eng.Pending())
+	fmt.Println("now:", eng.Now())
+	eng.Run()
 	// Output:
 	// event at 1
 	// event at 2
-	// pending: 1
+	// now: 2
+	// event at 3
 }

@@ -11,13 +11,10 @@ import (
 // the reported values match the engine's own accessors.
 func TestReportStats(t *testing.T) {
 	o := obs.New(nil)
-	e := New()
+	e := newEngine()
 	e.SetObserver(o)
-	if e.Observer() != o {
-		t.Fatal("Observer() did not return the attached observer")
-	}
 	for i := 0; i < 10; i++ {
-		e.After(float64(i), func() {})
+		e.ScheduleAfter(float64(i), 0, func() {})
 	}
 	e.Run()
 	// Nothing reported until ReportStats runs.
@@ -31,16 +28,16 @@ func TestReportStats(t *testing.T) {
 	if got, want := o.Metrics.Counter("sim.scheduled").Value(), e.Scheduled(); got != want {
 		t.Errorf("sim.scheduled = %d, want Scheduled() = %d", got, want)
 	}
-	if got, want := o.Metrics.Gauge("sim.pool.arena_slots").Value(), float64(e.ArenaSize()); got != want {
-		t.Errorf("sim.pool.arena_slots = %g, want ArenaSize() = %g", got, want)
+	if got, want := o.Metrics.Gauge("sim.pool.arena_slots").Value(), float64(len(e.slots)); got != want {
+		t.Errorf("sim.pool.arena_slots = %g, want the arena's %g slots", got, want)
 	}
 }
 
 // TestReportStatsNilObserver: ReportStats with no observer attached is a
 // no-op, not a panic.
 func TestReportStatsNilObserver(t *testing.T) {
-	e := New()
-	e.After(1, func() {})
+	e := newEngine()
+	e.ScheduleAfter(1, 0, func() {})
 	e.Run()
 	e.ReportStats()
 }

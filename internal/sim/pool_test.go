@@ -8,18 +8,18 @@ import (
 // arena stays at the high-water mark of concurrent events instead of
 // growing with the total event count.
 func TestSlotPoolReuse(t *testing.T) {
-	e := New()
+	e := newEngine()
 	const width = 8 // concurrent pending events
 	var next func()
 	fired := 0
 	next = func() {
 		fired++
 		if fired < 10_000 {
-			e.After(1, next)
+			e.ScheduleAfter(1, 0, next)
 		}
 	}
 	for i := 0; i < width; i++ {
-		e.After(1, next)
+		e.ScheduleAfter(1, 0, next)
 	}
 	e.Run()
 	if fired < 10_000 {
@@ -37,63 +37,57 @@ func TestSlotPoolReuse(t *testing.T) {
 // the free list and that its stale handle cannot touch the slot's next
 // tenant.
 func TestCancelRecyclesSlot(t *testing.T) {
-	e := New()
-	stale := e.At(5, func() { t.Error("cancelled event ran") })
+	e := newEngine()
+	stale := e.Schedule(5, 0, func() { t.Error("cancelled event ran") })
 	if !e.Cancel(stale) {
 		t.Fatal("Cancel reported false for a pending event")
 	}
 	ran := false
-	fresh := e.At(3, func() { ran = true })
+	fresh := e.Schedule(3, 0, func() { ran = true })
 	if fresh.id != stale.id {
 		t.Fatalf("fresh event got slot %d, want recycled slot %d", fresh.id, stale.id)
 	}
-	// The stale handle must not cancel or observe the recycled slot.
-	if stale.Pending() {
-		t.Error("stale handle reports pending")
-	}
+	// The stale handle must not cancel the recycled slot.
 	if e.Cancel(stale) {
 		t.Error("stale handle cancelled the slot's new tenant")
-	}
-	if !fresh.Pending() {
-		t.Error("fresh event not pending after stale Cancel attempt")
 	}
 	e.Run()
 	if !ran {
 		t.Error("recycled-slot event did not run")
 	}
-	if e.live != 0 {
-		t.Errorf("live = %d after drain, want 0", e.live)
+	if len(e.heap) != 0 {
+		t.Errorf("%d heap entries after drain, want 0", len(e.heap))
 	}
 }
 
 // TestFiredSlotHandleGoesStale checks generation hygiene across firing.
 func TestFiredSlotHandleGoesStale(t *testing.T) {
-	e := New()
-	ev := e.At(1, func() {})
+	e := newEngine()
+	ev := e.Schedule(1, 0, func() {})
 	e.Run()
-	if ev.Pending() {
-		t.Error("fired event reports pending")
-	}
 	if e.Cancel(ev) {
 		t.Error("Cancel of a fired event reported true")
 	}
 	// Reuse the slot and verify the old handle stays inert.
-	ev2 := e.At(2, func() {})
+	ev2 := e.Schedule(2, 0, func() {})
+	if ev2.id != ev.id {
+		t.Fatalf("second event got slot %d, want recycled slot %d", ev2.id, ev.id)
+	}
 	if e.Cancel(ev) {
 		t.Error("stale handle cancelled recycled slot")
 	}
-	if !ev2.Pending() {
-		t.Error("recycled event lost pending state")
+	if !e.Cancel(ev2) {
+		t.Error("recycled event is no longer cancellable")
 	}
 }
 
 // TestSteadyStateAllocationFree verifies the pooled kernel's core promise:
 // once warmed up, schedule+fire cycles perform no heap allocation.
 func TestSteadyStateAllocationFree(t *testing.T) {
-	e := New()
+	e := newEngine()
 	var next func()
-	next = func() { e.After(1, next) }
-	e.After(1, next)
+	next = func() { e.ScheduleAfter(1, 0, next) }
+	e.ScheduleAfter(1, 0, next)
 	for i := 0; i < 100; i++ { // warm the arena and heap capacity
 		e.Step()
 	}
@@ -105,9 +99,9 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTypedEventsAllocationFree verifies the typed-payload path stays
-// allocation-free when the payload is a pointer (the arrival/departure
-// case: payloads are *workload.Job).
+// TestTypedEventsAllocationFree verifies that Step stays allocation-free
+// when the payload is a pointer (the arrival/departure case: payloads are
+// *workload.Job).
 func TestTypedEventsAllocationFree(t *testing.T) {
 	type job struct{ id int }
 	j := &job{id: 1}
@@ -128,7 +122,7 @@ func TestTypedEventsAllocationFree(t *testing.T) {
 }
 
 // TestTypedDispatch checks that kinds and payloads arrive intact and in
-// (time, seq) order alongside closure events.
+// (time, seq) order.
 func TestTypedDispatch(t *testing.T) {
 	e := New()
 	type fire struct {
@@ -139,18 +133,15 @@ func TestTypedDispatch(t *testing.T) {
 	e.SetHandler(func(kind int32, payload any) {
 		got = append(got, fire{kind, payload})
 	})
-	p1, p2 := &struct{ n int }{1}, &struct{ n int }{2}
+	p1, p2, p3 := &struct{ n int }{1}, &struct{ n int }{2}, &struct{ n int }{3}
 	e.Schedule(2, 1, p2)
 	e.Schedule(1, 0, p1)
-	closureRan := false
-	e.At(1.5, func() { closureRan = true })
+	e.Schedule(1.5, 2, p3)
 	e.Run()
-	if len(got) != 2 || got[0].kind != 0 || got[0].payload != any(p1) ||
-		got[1].kind != 1 || got[1].payload != any(p2) {
+	if len(got) != 3 || got[0].kind != 0 || got[0].payload != any(p1) ||
+		got[1].kind != 2 || got[1].payload != any(p3) ||
+		got[2].kind != 1 || got[2].payload != any(p2) {
 		t.Errorf("typed dispatch got %+v", got)
-	}
-	if !closureRan {
-		t.Error("closure event between typed events did not run")
 	}
 }
 

@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// TestEngineRandomizedStress interleaves At, After, Cancel and RunUntil in
-// random orders against the pooled kernel and asserts the fundamental
-// contract: every surviving event fires exactly once, in nondecreasing
-// time order with FIFO (sequence) tie-breaks, and no cancelled event ever
-// fires. Handlers themselves randomly schedule and cancel, exercising slot
+// TestEngineRandomizedStress interleaves Schedule, ScheduleAfter, Cancel
+// and RunUntil in random orders against the pooled kernel and asserts the
+// fundamental contract: every surviving event fires exactly once, in
+// nondecreasing time order with FIFO (sequence) tie-breaks, and no
+// cancelled event ever fires. Handlers themselves randomly schedule and cancel, exercising slot
 // recycling under reentrancy.
 func TestEngineRandomizedStress(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		r := rand.New(rand.NewSource(seed))
-		e := New()
+		e := newEngine()
 
 		type rec struct {
 			ev        Event
@@ -48,18 +48,18 @@ func TestEngineRandomizedStress(t *testing.T) {
 					}
 				}
 			}
-			// Mix At (absolute) and After (relative) scheduling.
+			// Mix Schedule (absolute) and ScheduleAfter (relative) scheduling.
 			if r.Float64() < 0.5 {
 				tm := e.Now() + r.Float64()*20
 				if r.Float64() < 0.2 { // force ties
 					tm = e.Now() + float64(r.Intn(5))
 				}
 				rc.time = tm
-				rc.ev = e.At(tm, fn)
+				rc.ev = e.Schedule(tm, 0, fn)
 			} else {
 				d := r.Float64() * 20
 				rc.time = e.Now() + d
-				rc.ev = e.After(d, fn)
+				rc.ev = e.ScheduleAfter(d, 0, fn)
 			}
 		}
 
@@ -103,8 +103,8 @@ func TestEngineRandomizedStress(t *testing.T) {
 		if pending != 0 {
 			t.Fatalf("seed %d: %d events neither fired nor cancelled after drain", seed, pending)
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: engine reports %d pending after drain", seed, e.Pending())
+		if len(e.heap) != 0 {
+			t.Fatalf("seed %d: %d heap entries after drain", seed, len(e.heap))
 		}
 		// Fired order respects (time, seq).
 		for i := 1; i < len(firedOrder); i++ {

@@ -30,44 +30,21 @@ func (b *BatchMeans) Add(x float64) {
 	}
 }
 
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int64 { return b.batches.N() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// HalfWidth returns the half-width of the confidence interval at the given
-// confidence level (e.g. 0.95). It returns +Inf with fewer than 2 batches.
-func (b *BatchMeans) HalfWidth(confidence float64) float64 {
-	k := b.batches.N()
-	if k < 2 {
-		return math.Inf(1)
-	}
-	t := TQuantile(k-1, confidence)
-	return t * b.batches.StdDev() / math.Sqrt(float64(k))
-}
-
-// RelativeHalfWidth returns HalfWidth divided by the absolute mean, the
-// usual stopping criterion for sequential simulation runs.
-func (b *BatchMeans) RelativeHalfWidth(confidence float64) float64 {
-	m := b.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return b.HalfWidth(confidence) / math.Abs(m)
-}
+// HalfWidth returns the half-width of the 95% confidence interval over the
+// completed batch means. It returns +Inf with fewer than 2 batches.
+func (b *BatchMeans) HalfWidth() float64 { return b.batches.HalfWidth() }
 
 // tEntry is one Student-t critical-value row: degrees of freedom and the
-// two-sided critical value t_{df, (1+c)/2}.
+// two-sided 95% critical value t_{df, 0.975}.
 type tEntry struct {
 	df int64
 	t  float64
 }
 
-// tTable95 and tTable99 hold the critical values for the 95% and 99%
-// confidence levels in increasing df order; the normal limit covers
-// df > 120. Sorted slices rather than maps keep the lookup scan
-// deterministic (detlint rule nomaprange).
+// tTable95 holds the critical values for the 95% confidence level in
+// increasing df order; the normal limit 1.960 covers df > 120. A sorted
+// slice rather than a map keeps the lookup scan deterministic (detlint
+// rule nomaprange).
 var tTable95 = []tEntry{
 	{1, 12.706}, {2, 4.303}, {3, 3.182}, {4, 2.776}, {5, 2.571},
 	{6, 2.447}, {7, 2.365}, {8, 2.306}, {9, 2.262}, {10, 2.228},
@@ -75,33 +52,19 @@ var tTable95 = []tEntry{
 	{40, 2.021}, {60, 2.000}, {120, 1.980},
 }
 
-var tTable99 = []tEntry{
-	{1, 63.657}, {2, 9.925}, {3, 5.841}, {4, 4.604}, {5, 4.032},
-	{6, 3.707}, {7, 3.499}, {8, 3.355}, {9, 3.250}, {10, 3.169},
-	{12, 3.055}, {15, 2.947}, {20, 2.845}, {25, 2.787}, {30, 2.750},
-	{40, 2.704}, {60, 2.660}, {120, 2.617},
-}
-
-// TQuantile returns the two-sided Student-t critical value for the given
-// degrees of freedom at confidence level 0.95 or 0.99 (other levels fall
-// back to 0.95). Values between table entries use the next-lower df, which
-// is conservative (wider interval).
-func TQuantile(df int64, confidence float64) float64 {
-	table := tTable95
-	norm := 1.960
-	if confidence >= 0.985 {
-		table = tTable99
-		norm = 2.576
-	}
+// tQuantile returns the two-sided 95% Student-t critical value for the
+// given degrees of freedom. Values between table entries use the
+// next-lower df, which is conservative (wider interval).
+func tQuantile(df int64) float64 {
 	if df <= 0 {
 		return math.Inf(1)
 	}
-	if df > table[len(table)-1].df {
-		return norm
+	if df > tTable95[len(tTable95)-1].df {
+		return 1.960
 	}
 	// Largest tabulated df not exceeding the requested one.
-	best := table[0]
-	for _, e := range table {
+	best := tTable95[0]
+	for _, e := range tTable95 {
 		if e.df > df {
 			break
 		}

@@ -7,17 +7,13 @@ import (
 	"strings"
 )
 
-// Histogram counts observations in equal-width bins over [lo, hi). Values
-// outside the range are tallied in underflow/overflow counters so no
-// observation is silently dropped. It backs the density plots of Figs. 1
+// Histogram counts observations in equal-width bins over [lo, hi); values
+// outside the range are not counted. It backs the density plots of Figs. 1
 // and 2 of the paper.
 type Histogram struct {
-	lo, hi    float64
-	width     float64
-	counts    []int64
-	underflow int64
-	overflow  int64
-	total     int64
+	lo, hi float64
+	width  float64
+	counts []int64
 }
 
 // NewHistogram creates a histogram with bins equal-width bins on [lo, hi).
@@ -36,21 +32,16 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 	}
 }
 
-// Add tallies one observation.
+// Add tallies one observation; values outside [lo, hi) are ignored.
 func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.counts) { // guard against floating-point edge
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
+	if x < h.lo || x >= h.hi {
+		return
 	}
+	i := int((x - h.lo) / h.width)
+	if i >= len(h.counts) { // guard against floating-point edge
+		i = len(h.counts) - 1
+	}
+	h.counts[i]++
 }
 
 // Bins returns the number of bins.
@@ -63,21 +54,6 @@ func (h *Histogram) Count(i int) int64 { return h.counts[i] }
 func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	lo = h.lo + float64(i)*h.width
 	return lo, lo + h.width
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Underflow and Overflow return the out-of-range tallies.
-func (h *Histogram) Underflow() int64 { return h.underflow }
-func (h *Histogram) Overflow() int64  { return h.overflow }
-
-// Fraction returns the share of all observations that fell in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
 }
 
 // Render draws the histogram as rows of '#' characters, one row per bin,
@@ -134,9 +110,6 @@ func (c *IntCounter) AddN(v int, n int64) {
 
 // Count returns the tally for value v.
 func (c *IntCounter) Count(v int) int64 { return c.counts[v] }
-
-// Total returns the number of observations.
-func (c *IntCounter) Total() int64 { return c.total }
 
 // Fraction returns the share of observations equal to v.
 func (c *IntCounter) Fraction(v int) float64 {

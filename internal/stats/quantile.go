@@ -31,12 +31,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return q
 }
 
-// P returns the quantile being estimated.
-func (q *P2Quantile) P() float64 { return q.p }
-
-// N returns the number of observations.
-func (q *P2Quantile) N() int64 { return q.n }
-
 // Add incorporates one observation.
 func (q *P2Quantile) Add(x float64) {
 	q.n++

@@ -79,8 +79,8 @@ func TestP2ExactlyFive(t *testing.T) {
 	if got := q.Value(); got != 3 {
 		t.Errorf("median of 1..5 = %g, want 3", got)
 	}
-	if q.N() != 5 {
-		t.Errorf("N = %d", q.N())
+	if q.n != 5 {
+		t.Errorf("n = %d", q.n)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestP2Reset(t *testing.T) {
 		q.Add(float64(i))
 	}
 	q.Reset()
-	if q.N() != 0 || !math.IsNaN(q.Value()) || q.P() != 0.9 {
+	if q.n != 0 || !math.IsNaN(q.Value()) || q.p != 0.9 {
 		t.Error("Reset did not restore initial state")
 	}
 }
@@ -154,7 +154,7 @@ func TestQuantileSet(t *testing.T) {
 		t.Error("quantiles out of order")
 	}
 	s.Reset()
-	if s.Q50.N() != 0 {
+	if s.Q50.n != 0 {
 		t.Error("Reset did not clear the set")
 	}
 }

@@ -13,25 +13,15 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
-	w.sum += x
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -46,21 +36,13 @@ func (w *Welford) AddN(x float64, count int64) {
 	if count <= 0 {
 		return
 	}
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 0 || x > w.max {
+		w.max = x
 	}
 	n := w.n + count
 	delta := x - w.mean
 	w.mean += delta * float64(count) / float64(n)
 	w.m2 += delta * delta * float64(w.n) * float64(count) / float64(n)
-	w.sum += x * float64(count)
 	w.n = n
 }
 
@@ -77,10 +59,6 @@ func (w *Welford) Merge(o *Welford) {
 	delta := o.mean - w.mean
 	w.mean += delta * float64(o.n) / float64(n)
 	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.sum += o.sum
-	if o.min < w.min {
-		w.min = o.min
-	}
 	if o.max > w.max {
 		w.max = o.max
 	}
@@ -90,14 +68,8 @@ func (w *Welford) Merge(o *Welford) {
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 
-// Sum returns the sum of the observations.
-func (w *Welford) Sum() float64 { return w.sum }
-
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation, or 0 when empty.
-func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation, or 0 when empty.
 func (w *Welford) Max() float64 { return w.max }
@@ -122,6 +94,16 @@ func (w *Welford) CV() float64 {
 	return w.StdDev() / math.Abs(w.mean)
 }
 
+// HalfWidth returns the half-width t·s/√n of the 95% Student-t confidence
+// interval for the mean of the observations, or +Inf with fewer than 2.
+// Every half-width the simulator reports is computed here.
+func (w *Welford) HalfWidth() float64 {
+	if w.n < 2 {
+		return math.Inf(1)
+	}
+	return tQuantile(w.n-1) * w.StdDev() / math.Sqrt(float64(w.n))
+}
+
 // Reset returns the accumulator to its zero state.
 func (w *Welford) Reset() { *w = Welford{} }
 
@@ -135,13 +117,12 @@ type TimeWeighted struct {
 	last     float64
 	level    float64
 	integral float64
-	maxLevel float64
 }
 
 // StartAt begins integration at time t with level 0, discarding any
 // previous state. Use it to reset at the end of a warmup period.
 func (tw *TimeWeighted) StartAt(t, level float64) {
-	*tw = TimeWeighted{started: true, start: t, last: t, level: level, maxLevel: level}
+	*tw = TimeWeighted{started: true, start: t, last: t, level: level}
 }
 
 // Set records that the level changed to v at time t. Times must be
@@ -157,9 +138,6 @@ func (tw *TimeWeighted) Set(t, v float64) {
 	tw.integral += tw.level * (t - tw.last)
 	tw.last = t
 	tw.level = v
-	if v > tw.maxLevel {
-		tw.maxLevel = v
-	}
 }
 
 // Add records a level change of +dv at time t.
@@ -167,9 +145,6 @@ func (tw *TimeWeighted) Add(t, dv float64) { tw.Set(t, tw.level+dv) }
 
 // Level returns the current level.
 func (tw *TimeWeighted) Level() float64 { return tw.level }
-
-// MaxLevel returns the largest level seen since StartAt.
-func (tw *TimeWeighted) MaxLevel() float64 { return tw.maxLevel }
 
 // Integral returns the integral of the level from the start time to t.
 // Like Set, it panics when t precedes the last recorded change: silently

@@ -159,8 +159,14 @@ func (s *Spec) JobFromDraws(a *Arena, total int, svc float64) *Job {
 	return j
 }
 
-// SampleTypedInto draws one job of the given request type from the arena,
-// mirroring Spec.SampleTyped draw for draw (nil arena = heap).
+// SampleTypedInto draws one job of the given request type from the arena
+// (nil arena = heap, and the Job and its slices are caller-owned).
+// Unordered behaves exactly like SampleInto. Ordered jobs get the
+// unordered split plus a fixed assignment of components to distinct
+// clusters, drawn uniformly. Flexible and Total jobs carry a single
+// pseudo-component holding the total size; for Flexible the simulator
+// rewrites the components at dispatch time to whatever split it chooses,
+// and recomputes the wide-area extension accordingly.
 func (s *Spec) SampleTypedInto(a *Arena, t RequestType, sizeStream, svcStream, placeStream *rng.Stream) *Job {
 	switch t {
 	case Unordered:

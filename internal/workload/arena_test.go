@@ -104,7 +104,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 			if i == 250 {
 				a.Reset() // mid-run reset must not perturb the draws
 			}
-			heap := spec.SampleTyped(typ, sz1, sv1, pl1)
+			heap := spec.SampleTypedInto(nil, typ, sz1, sv1, pl1)
 			pooled := spec.SampleTypedInto(a, typ, sz2, sv2, pl2)
 			if !reflect.DeepEqual(*heap, *pooled) {
 				t.Fatalf("%s draw %d: heap %+v != arena %+v", typ, i, *heap, *pooled)

@@ -68,9 +68,6 @@ func (j *Job) RemainingTime() float64 { return j.ExtendedServiceTime - j.Checkpo
 // ResponseTime returns finish minus arrival time.
 func (j *Job) ResponseTime() float64 { return j.FinishTime - j.ArrivalTime }
 
-// WaitTime returns start minus arrival time.
-func (j *Job) WaitTime() float64 { return j.StartTime - j.ArrivalTime }
-
 // Split divides a total job size into components per Section 2.4 of the
 // paper: the number of components is the smallest n with ceil(total/n) <=
 // limit, capped at clusters; the component sizes are as equal as possible

@@ -44,19 +44,6 @@ func (t RequestType) String() string {
 	}
 }
 
-// SampleTyped draws one job of the given request type. Unordered behaves
-// exactly like Spec.Sample. Ordered jobs get the unordered split plus a
-// fixed assignment of components to distinct clusters, drawn uniformly.
-// Flexible and Total jobs carry a single pseudo-component holding the
-// total size; for Flexible the simulator rewrites the components at
-// dispatch time to whatever split it chooses, and recomputes the wide-area
-// extension accordingly.
-//
-// Like Sample, the returned Job and its slices are caller-owned.
-func (s *Spec) SampleTyped(t RequestType, sizeStream, svcStream, placeStream *rng.Stream) *Job {
-	return s.SampleTypedInto(nil, t, sizeStream, svcStream, placeStream)
-}
-
 // sampleDistinctClusters draws k distinct cluster indices out of n,
 // uniformly, by a partial Fisher-Yates shuffle.
 func sampleDistinctClusters(r *rng.Stream, k, n int) []int {

@@ -31,10 +31,10 @@ func TestSampleTypedUnorderedMatchesSample(t *testing.T) {
 	s1, s2, s3 := streams()
 	r1, r2 := rng.NewStream(1), rng.NewStream(2)
 	for i := 0; i < 100; i++ {
-		a := spec.SampleTyped(Unordered, s1, s2, s3)
+		a := spec.SampleTypedInto(nil, Unordered, s1, s2, s3)
 		b := spec.Sample(r1, r2)
 		if a.TotalSize != b.TotalSize || a.ServiceTime != b.ServiceTime {
-			t.Fatal("unordered SampleTyped diverges from Sample")
+			t.Fatal("unordered SampleTypedInto diverges from Sample")
 		}
 		if a.Type != Unordered || a.OrderedPlacement != nil {
 			t.Fatal("unordered job carries ordered metadata")
@@ -46,7 +46,7 @@ func TestSampleTypedOrdered(t *testing.T) {
 	spec := specFor(t, 16)
 	s1, s2, s3 := streams()
 	for i := 0; i < 2000; i++ {
-		j := spec.SampleTyped(Ordered, s1, s2, s3)
+		j := spec.SampleTypedInto(nil, Ordered, s1, s2, s3)
 		if j.Type != Ordered {
 			t.Fatal("type not set")
 		}
@@ -72,7 +72,7 @@ func TestSampleTypedOrderedPlacementUniform(t *testing.T) {
 	counts := make([]int, spec.Clusters)
 	n := 0
 	for i := 0; i < 20000; i++ {
-		j := spec.SampleTyped(Ordered, s1, s2, s3)
+		j := spec.SampleTypedInto(nil, Ordered, s1, s2, s3)
 		if len(j.Components) == 1 {
 			counts[j.OrderedPlacement[0]]++
 			n++
@@ -90,7 +90,7 @@ func TestSampleTypedFlexibleAndTotal(t *testing.T) {
 	spec := specFor(t, 16)
 	s1, s2, s3 := streams()
 	for i := 0; i < 1000; i++ {
-		f := spec.SampleTyped(Flexible, s1, s2, s3)
+		f := spec.SampleTypedInto(nil, Flexible, s1, s2, s3)
 		if f.Type != Flexible || len(f.Components) != 1 || f.Components[0] != f.TotalSize {
 			t.Fatalf("flexible job %+v", f)
 		}
@@ -98,7 +98,7 @@ func TestSampleTypedFlexibleAndTotal(t *testing.T) {
 		if f.TotalSize > spec.ComponentLimit && f.ExtendedServiceTime <= f.ServiceTime {
 			t.Fatalf("large flexible job not provisionally extended: %+v", f)
 		}
-		tt := spec.SampleTyped(Total, s1, s2, s3)
+		tt := spec.SampleTypedInto(nil, Total, s1, s2, s3)
 		if tt.Type != Total || len(tt.Components) != 1 {
 			t.Fatalf("total job %+v", tt)
 		}
@@ -116,7 +116,7 @@ func TestSampleTypedUnknownPanics(t *testing.T) {
 			t.Error("unknown request type did not panic")
 		}
 	}()
-	spec.SampleTyped(RequestType(42), s1, s2, s3)
+	spec.SampleTypedInto(nil, RequestType(42), s1, s2, s3)
 }
 
 func TestFinalizeFlexible(t *testing.T) {

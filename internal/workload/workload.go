@@ -69,12 +69,6 @@ func (s *Spec) MeanGrossWork() float64 {
 	return s.weightedMeanSize(s.ExtensionFactor) * s.Service.Mean()
 }
 
-// MeanNetWork returns the expected net work per job in processor-seconds:
-// E[size * service].
-func (s *Spec) MeanNetWork() float64 {
-	return s.Sizes.Mean() * s.Service.Mean()
-}
-
 // GrossNetRatio returns the ratio of gross to net utilization for this
 // workload: the quotient of the mean total job size weighted by the
 // extension factor for multi-component jobs, and the unweighted mean

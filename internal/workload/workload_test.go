@@ -113,8 +113,8 @@ func TestJobAccessors(t *testing.T) {
 	if !j.Multi() {
 		t.Error("two-component job should be Multi")
 	}
-	if j.ResponseTime() != 30 || j.WaitTime() != 5 {
-		t.Errorf("response %g wait %g", j.ResponseTime(), j.WaitTime())
+	if j.ResponseTime() != 30 {
+		t.Errorf("response %g", j.ResponseTime())
 	}
 	if (&Job{Components: []int{4}}).Multi() {
 		t.Error("one-component job should not be Multi")
@@ -273,7 +273,7 @@ func TestArrivalRateInversion(t *testing.T) {
 
 func TestMeanWorkRelations(t *testing.T) {
 	spec := specFor(t, 16)
-	gross, net := spec.MeanGrossWork(), spec.MeanNetWork()
+	gross, net := spec.MeanGrossWork(), spec.Sizes.Mean()*spec.Service.Mean()
 	if gross <= net {
 		t.Errorf("gross work %g should exceed net %g", gross, net)
 	}
@@ -340,7 +340,7 @@ func TestExponentialServiceSpec(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(spec.MeanNetWork()-d.Sizes128.Mean()*150) > 1e-6 {
-		t.Errorf("mean net work %g", spec.MeanNetWork())
+	if want := spec.GrossNetRatio() * d.Sizes128.Mean() * 150; math.Abs(spec.MeanGrossWork()-want) > 1e-6 {
+		t.Errorf("mean gross work %g, want %g", spec.MeanGrossWork(), want)
 	}
 }
