@@ -8,18 +8,29 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // buildCommands compiles every cmd/... binary into a shared temp dir.
+// The list is read from the cmd directory, so a command that is added
+// or removed cannot drift out of the suite.
 func buildCommands(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for _, name := range []string{"mcsim", "mcexp", "mctrace", "mcreplay", "mcmodel"} {
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		name := e.Name()
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Dir = mustRepoRoot(t)
@@ -118,10 +129,10 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 
 		gantt := filepath.Join(bins, "gantt.csv")
-		replay := run(t, bin("mcreplay"), "-policy", "GS", "-limit", "16",
+		replay := run(t, bin("mcsim"), "-replay", "-policy", "GS", "-limit", "16",
 			"-load", "2", "-schedule", gantt, filtered)
 		if !strings.Contains(replay, "jobs replayed") || !strings.Contains(replay, "mean response") {
-			t.Errorf("mcreplay output:\n%s", replay)
+			t.Errorf("mcsim -replay output:\n%s", replay)
 		}
 		data, err := os.ReadFile(gantt)
 		if err != nil {
@@ -169,12 +180,16 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcexp", []string{"-quick", "-retry-cap", "5", "faults"}, "retry window"},
 			{"mcsim", []string{"-clusters", "x"}, "bad -clusters value"},
 			{"mcsim", []string{"-fit", "ZZ"}, "unknown fit rule"},
-			{"mcreplay", []string{"-clusters", "x"}, "bad -clusters value"},
-			{"mcreplay", []string{"-fit", "ZZ"}, "unknown fit rule"},
-			{"mcmodel", []string{"gen", "-jobs", "0"}, "-jobs"},
-			{"mcmodel", []string{"stats", "-jobs", "-3"}, "-jobs"},
-			{"mcmodel", []string{"bogus"}, "usage: mcmodel"},
+			{"mcsim", []string{"-replay", "-clusters", "x"}, "bad -clusters value"},
+			{"mcsim", []string{"-replay", "-fit", "ZZ"}, "unknown fit rule"},
+			{"mctrace", []string{"gen", "-model", "feitelson", "-jobs", "-3"}, "-jobs"},
+			{"mctrace", []string{"gen", "-model", "bogus"}, "-model"},
+			{"mctrace", []string{"bogus"}, "usage: mctrace"},
 			{"mctrace", []string{"gen", "-jobs", "-5"}, "-jobs"},
+			// The feitelson model's flags need -model feitelson.
+			{"mctrace", []string{"gen", "-procs", "64"}, "-procs"},
+			{"mctrace", []string{"gen", "-model", "das", "-serial", "0.2"}, "-serial"},
+			{"mctrace", []string{"gen", "-rate", "0.01"}, "-rate"},
 			{"mctrace", []string{"filter", "-from", "100", "-to", "50"}, "-from"},
 			{"mctrace", []string{"filter", "-from", "100"}, "-from"},
 			{"mctrace", []string{"filter", "-to", "50"}, "-to"},
@@ -184,8 +199,27 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-reps", "0"}, "-reps"},
 			{"mcsim", []string{"-reps", "-3"}, "-reps"},
 			{"mcsim", []string{"-jobs", "0"}, "-jobs"},
-			{"mcreplay", []string{"-jobs", "-5"}, "-jobs"},
-			{"mcreplay", []string{"-load", "0"}, "-load"},
+			{"mcsim", []string{"-replay", "-jobs", "-5"}, "-jobs"},
+			{"mcsim", []string{"-replay", "-jobs", "0"}, "-jobs"},
+			{"mcsim", []string{"-replay", "-load", "0"}, "-load"},
+			// Flags a replay cannot use, set explicitly.
+			{"mcsim", []string{"-replay", "-util", "0.5"}, "-util"},
+			{"mcsim", []string{"-replay", "-warmup", "100"}, "-warmup"},
+			{"mcsim", []string{"-replay", "-reps", "1"}, "-reps"},
+			{"mcsim", []string{"-replay", "-cap64"}, "-cap64"},
+			{"mcsim", []string{"-replay", "-backlog"}, "-backlog"},
+			{"mcsim", []string{"-replay", "-mtbf", "2000"}, "-mtbf"},
+			{"mcsim", []string{"-replay", "-mttr", "900"}, "-mttr"},
+			{"mcsim", []string{"-replay", "-retry-base", "10"}, "-retry-base"},
+			{"mcsim", []string{"-replay", "-retry-cap", "600"}, "-retry-cap"},
+			{"mcsim", []string{"-replay", "-checkpoint-interval", "300"}, "-checkpoint-interval"},
+			{"mcsim", []string{"-replay", "-saturation-cutoff"}, "-saturation-cutoff"},
+			{"mcsim", []string{"-replay", "-decisions"}, "-decisions"},
+			// Replay-only flags and log files need -replay.
+			{"mcsim", []string{"-load", "2"}, "-load"},
+			{"mcsim", []string{"-schedule", "gantt.csv"}, "-schedule"},
+			{"mcsim", []string{"das.swf"}, "-replay"},
+			{"mcsim", []string{"-replay", "a.swf", "b.swf"}, "-replay"},
 			{"mcexp", []string{"-quick", "-reps", "-1", "table1"}, "-reps"},
 			{"mcexp", []string{"-quick", "-jobs", "-1", "table1"}, "-jobs"},
 		}
@@ -209,19 +243,67 @@ func TestCLIEndToEnd(t *testing.T) {
 		if !strings.Contains(out, "writing trace") {
 			t.Errorf("full-disk trace error not surfaced:\n%s", out)
 		}
-		out = runExpectExit(t, 1, bin("mcreplay"), "-policy", "LS", "-limit", "16",
+		out = runExpectExit(t, 1, bin("mcsim"), "-replay", "-policy", "LS", "-limit", "16",
 			"-trace", "/dev/full")
 		if !strings.Contains(out, "writing trace") {
-			t.Errorf("mcreplay full-disk trace error not surfaced:\n%s", out)
+			t.Errorf("mcsim -replay full-disk trace error not surfaced:\n%s", out)
 		}
 	})
 
-	t.Run("mcmodel", func(t *testing.T) {
+	t.Run("feitelson model", func(t *testing.T) {
 		swf := filepath.Join(bins, "model.swf")
-		run(t, bin("mcmodel"), "gen", "-jobs", "2000", "-o", swf)
-		out := run(t, bin("mcreplay"), "-policy", "LS", "-limit", "16", swf)
+		run(t, bin("mctrace"), "gen", "-model", "feitelson", "-jobs", "2000", "-o", swf)
+		out := run(t, bin("mcsim"), "-replay", "-policy", "LS", "-limit", "16", swf)
 		if !strings.Contains(out, "jobs replayed     2000") {
 			t.Errorf("replaying a model trace:\n%s", out)
 		}
+		stats := run(t, bin("mctrace"), "stats", swf)
+		if !strings.Contains(stats, "jobs                2000") || !strings.Contains(stats, "total") {
+			t.Errorf("mctrace stats of a model trace:\n%s", stats)
+		}
 	})
+}
+
+// TestREADMEMatchesTree keeps README.md in step with the tree: every
+// ./cmd/<name> and ./examples/<name> path it mentions exists, and the
+// output block after "go run ./examples/quickstart" is that program's
+// output. Skipped under -short.
+func TestREADMEMatchesTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the quickstart example")
+	}
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+	paths := regexp.MustCompile(`\./(cmd|examples)/[A-Za-z0-9_]+`).FindAllString(readme, -1)
+	if len(paths) == 0 {
+		t.Fatal("README.md mentions no ./cmd or ./examples paths")
+	}
+	seen := map[string]bool{}
+	for _, p := range paths {
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		if fi, err := os.Stat(p); err != nil || !fi.IsDir() {
+			t.Errorf("README.md mentions %s, which is not a directory", p)
+		}
+	}
+
+	const intro = "go run ./examples/quickstart\n```\n\n```text\n"
+	i := strings.Index(readme, intro)
+	if i < 0 {
+		t.Fatal("README.md has no text block after go run ./examples/quickstart")
+	}
+	block := readme[i+len(intro):]
+	block = block[:strings.Index(block, "```")]
+	out, err := exec.Command("go", "run", "./examples/quickstart").Output()
+	if err != nil {
+		t.Fatalf("go run ./examples/quickstart: %v", err)
+	}
+	if string(out) != block {
+		t.Errorf("README quickstart block:\n%s\nprogram output:\n%s", block, out)
+	}
 }

@@ -1,5 +1,7 @@
 // Command mcsim runs one multicluster co-allocation simulation with
-// explicit parameters and prints its metrics.
+// explicit parameters and prints its metrics. It has one mode per job
+// source: an open system with Poisson arrivals (the default), a constant
+// backlog (-backlog), and the replay of a job log (-replay).
 //
 // Examples:
 //
@@ -8,6 +10,8 @@
 //	mcsim -policy LP -limit 32 -unbalanced -util 0.45
 //	mcsim -policy GS -limit 24 -backlog    # maximal-utilization run
 //	mcsim -policy LS -util 0.4 -mtbf 2000  # with processor failures
+//	mcsim -replay -policy LS -limit 16     # replay the synthetic DAS log
+//	mcsim -replay -policy GS -load 2 das.swf  # an SWF log, gaps compressed 2x
 package main
 
 import (
@@ -25,13 +29,19 @@ import (
 	"coalloc/internal/workload"
 )
 
+// notReplay lists the flags a replay cannot use: the log fixes the jobs,
+// their arrivals and the run length, and a replay has no failures, no
+// replications and no decision records.
+var notReplay = []string{"util", "warmup", "reps", "cap64", "backlog", "mtbf", "mttr",
+	"retry-base", "retry-cap", "checkpoint-interval", "saturation-cutoff", "decisions"}
+
 func main() {
 	policy := flag.String("policy", "LS", "scheduling policy: "+core.PolicyNames)
 	limit := flag.Int("limit", 16, "job-component-size limit (16, 24 or 32 in the paper)")
 	util := flag.Float64("util", 0.5, "offered gross utilization")
-	jobs := flag.Int("jobs", 30000, "measured jobs")
+	jobs := flag.Int("jobs", 30000, "measured jobs (with -replay: replay only the first N records; default all)")
 	warmup := flag.Int("warmup", 3000, "warmup jobs (0 = no warmup, measure from time zero)")
-	seed := flag.Uint64("seed", 1, "random seed")
+	seed := flag.Uint64("seed", 1, "random seed (with -replay: the routing seed)")
 	reps := flag.Int("reps", 1, "replications")
 	cap64 := flag.Bool("cap64", false, "use the DAS-s-64 size distribution (total sizes cut at 64)")
 	unbalanced := flag.Bool("unbalanced", false, "route 40%/20%/20%/20% of jobs to the local queues")
@@ -40,6 +50,9 @@ func main() {
 	lookahead := flag.Int("lookahead", 0, "conservative-backfilling reservation bound (0 = default 32; must be >= 1)")
 	clusters := flag.String("clusters", "", "comma-separated cluster sizes (default 32,32,32,32; SC, SC-EASY and SC-CONS: 128)")
 	backlog := flag.Bool("backlog", false, "run a constant-backlog (maximal utilization) simulation instead")
+	replay := flag.Bool("replay", false, "replay a job log instead: the SWF file given as the argument, or the synthetic DAS log without one")
+	load := flag.Float64("load", 1, "with -replay: load factor; >1 compresses interarrival gaps")
+	schedule := flag.String("schedule", "", "with -replay: write the per-job schedule (Gantt CSV) to this file")
 	mtbf := flag.Float64("mtbf", 0, "per-cluster mean time between processor failures in s (0 = no failures)")
 	mttr := flag.Float64("mttr", 900, "mean time to repair a failed processor in s")
 	retryBase := flag.Float64("retry-base", 10, "base resubmit backoff for killed jobs in s")
@@ -51,6 +64,31 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
+
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *replay {
+		for _, name := range notReplay {
+			if set[name] {
+				cliutil.Failf("mcsim", "-%s cannot be combined with -replay: a replay runs the log's own jobs once, fault-free, without decision records", name)
+			}
+		}
+		if flag.NArg() > 1 {
+			cliutil.Failf("mcsim", "-replay takes at most one log file, got %d arguments", flag.NArg())
+		}
+		if !(*load > 0) || math.IsInf(*load, 0) {
+			cliutil.Failf("mcsim", "-load %g must be a positive finite number", *load)
+		}
+	} else {
+		for _, name := range []string{"load", "schedule"} {
+			if set[name] {
+				cliutil.Failf("mcsim", "-%s only applies to -replay", name)
+			}
+		}
+		if flag.NArg() > 0 {
+			cliutil.Failf("mcsim", "unexpected argument %q: only -replay takes a log file", flag.Arg(0))
+		}
+	}
 
 	// The arrival rate is derived from -util and the split from -limit
 	// before any library validation runs, so reject bad values here.
@@ -72,25 +110,7 @@ func main() {
 		}
 	}
 
-	der := workload.DeriveDefault()
-	sizes := der.Sizes128
-	if *cap64 {
-		sizes = der.Sizes64
-	}
-
 	clusterSizes := cliutil.Clusters("mcsim", *clusters, *policy)
-
-	spec := workload.Spec{
-		Sizes:           sizes,
-		Service:         der.Service,
-		ComponentLimit:  *limit,
-		Clusters:        len(clusterSizes),
-		ExtensionFactor: *ext,
-	}
-	if cliutil.SingleCluster(*policy) {
-		spec.ComponentLimit = sizes.Max() // total requests: never split
-	}
-
 	fitRule := cliutil.Fit("mcsim", *fit)
 	var weights []float64
 	if *unbalanced {
@@ -107,6 +127,49 @@ func main() {
 	if *ckptInterval != 0 && *mtbf <= 0 {
 		fatalf("-checkpoint-interval %g without -mtbf: checkpointing only matters when failures can kill jobs", *ckptInterval)
 	}
+
+	if *replay {
+		componentLimit := *limit
+		if cliutil.SingleCluster(*policy) {
+			// Total requests: never split.
+			componentLimit = clusterSizes[0]
+		}
+		recs := cliutil.LoadLog("mcsim", flag.Args())
+		if set["jobs"] && *jobs < len(recs) {
+			recs = recs[:*jobs]
+		}
+		cfg := core.ReplayConfig{
+			ClusterSizes:    clusterSizes,
+			Records:         recs,
+			Policy:          *policy,
+			Fit:             fitRule,
+			Lookahead:       *lookahead,
+			ComponentLimit:  componentLimit,
+			ExtensionFactor: *ext,
+			LoadFactor:      *load,
+			QueueWeights:    weights,
+			Seed:            *seed,
+		}
+		runReplay(cfg, *schedule, *metrics, *tracePath)
+		return
+	}
+
+	der := workload.DeriveDefault()
+	sizes := der.Sizes128
+	if *cap64 {
+		sizes = der.Sizes64
+	}
+	spec := workload.Spec{
+		Sizes:           sizes,
+		Service:         der.Service,
+		ComponentLimit:  *limit,
+		Clusters:        len(clusterSizes),
+		ExtensionFactor: *ext,
+	}
+	if cliutil.SingleCluster(*policy) {
+		spec.ComponentLimit = sizes.Max() // total requests: never split
+	}
+
 	if *backlog {
 		if *mtbf > 0 {
 			fatalf("-mtbf cannot be combined with -backlog (constant-backlog runs measure reliable-hardware capacity)")
@@ -215,11 +278,58 @@ func main() {
 		fmt.Printf("mean avail fraction %.4f\n", res.MeanAvailableFraction)
 	}
 	if *metrics {
-		fmt.Println()
-		fmt.Println("--- metrics ---")
-		if err := observer.WriteText(os.Stdout); err != nil {
+		printMetrics(observer)
+	}
+}
+
+// runReplay replays cfg.Records and prints the replay's results, writing
+// the Gantt CSV to schedule when it is set.
+func runReplay(cfg core.ReplayConfig, schedule string, metrics bool, tracePath string) {
+	var schedFile *os.File
+	if schedule != "" {
+		f, err := os.Create(schedule)
+		if err != nil {
 			fatalf("%v", err)
 		}
+		schedFile = f
+		cfg.ScheduleWriter = f
+	}
+	observer, closeTrace := cliutil.Observer("mcsim", metrics, tracePath)
+	cfg.Observer = observer
+	res, err := core.Replay(cfg)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// A Close error is a write error for buffered data; unchecked, a full
+	// disk would silently truncate the schedule.
+	if schedFile != nil {
+		if err := schedFile.Close(); err != nil {
+			fatalf("writing schedule: %v", err)
+		}
+	}
+	closeTrace()
+
+	fmt.Printf("policy            %s\n", res.Policy)
+	fmt.Printf("jobs replayed     %d\n", res.Jobs)
+	fmt.Printf("makespan          %.0f s (%.1f days)\n", res.Makespan, res.Makespan/86400)
+	fmt.Printf("gross utilization %.4f\n", res.GrossUtilization)
+	fmt.Printf("net utilization   %.4f\n", res.NetUtilization)
+	fmt.Printf("mean response     %.1f s\n", res.MeanResponse)
+	fmt.Printf("median response   %.1f s\n", res.MedianResponse)
+	fmt.Printf("p95 response      %.1f s\n", res.P95Response)
+	fmt.Printf("mean slowdown     %.2f\n", res.MeanSlowdown)
+	fmt.Printf("max queue         %d\n", res.MaxQueue)
+	if metrics {
+		printMetrics(observer)
+	}
+}
+
+// printMetrics appends the observer's summary block to the results.
+func printMetrics(o *obs.Observer) {
+	fmt.Println()
+	fmt.Println("--- metrics ---")
+	if err := o.WriteText(os.Stdout); err != nil {
+		fatalf("%v", err)
 	}
 }
 

@@ -1,8 +1,11 @@
-// Command mctrace generates and inspects the synthetic DAS job log.
+// Command mctrace generates and inspects job logs: the synthetic DAS log
+// and traces of the parametric Feitelson-style workload model
+// (internal/wmodel), both in Standard Workload Format.
 //
 // Usage:
 //
-//	mctrace gen [-jobs N] [-seed S] [-o file.swf]   write a synthetic log (SWF)
+//	mctrace gen [-model das|feitelson] [-jobs N] [-seed S] [-o file.swf]
+//	            [-procs P] [-serial F] [-rate R]    write a log (SWF); the last three need -model feitelson
 //	mctrace stats [file.swf]                        summarize a log (default: synthetic)
 //	mctrace density [file.swf]                      per-size job counts (Fig. 1 data)
 //	mctrace filter [-maxsize N] [-maxservice S] [-from T -to T] [-o out.swf] [file.swf]
@@ -15,6 +18,7 @@ import (
 
 	"coalloc/internal/cliutil"
 	"coalloc/internal/dastrace"
+	"coalloc/internal/wmodel"
 )
 
 func main() {
@@ -24,45 +28,63 @@ func main() {
 	switch os.Args[1] {
 	case "gen":
 		fs := flag.NewFlagSet("gen", flag.ExitOnError)
-		jobs := fs.Int("jobs", 0, "number of jobs (0 = default 39356)")
-		seed := fs.Uint64("seed", 0, "random seed (0 = default)")
+		model := fs.String("model", "das", "workload model: das (the synthetic DAS log) or feitelson (the parametric model)")
+		jobs := fs.Int("jobs", 0, "number of jobs (0 = the model's default: 39356 for das, 20000 for feitelson)")
+		seed := fs.Uint64("seed", 0, "random seed (0 = the model's default)")
+		procs := fs.Int("procs", 0, "feitelson: machine size (0 = default 128)")
+		serial := fs.Float64("serial", -1, "feitelson: serial-job fraction (negative = default)")
+		rate := fs.Float64("rate", 0, "feitelson: mean arrival rate in jobs/s (0 = default)")
 		out := fs.String("o", "", "output file (default stdout)")
 		fs.Parse(os.Args[2:])
 		if *jobs < 0 {
 			cliutil.Failf("mctrace", "-jobs %d must be >= 0 (0 = default)", *jobs)
 		}
-		cfg := dastrace.DefaultConfig()
-		if *jobs > 0 {
-			cfg.NumJobs = *jobs
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		recs := dastrace.Generate(cfg)
-		w := os.Stdout
-		var f *os.File
-		if *out != "" {
-			var err error
-			f, err = os.Create(*out)
+		switch *model {
+		case "das":
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name == "procs" || f.Name == "serial" || f.Name == "rate" {
+					cliutil.Failf("mctrace", "-%s only applies to -model feitelson", f.Name)
+				}
+			})
+			cfg := dastrace.DefaultConfig()
+			if *jobs > 0 {
+				cfg.NumJobs = *jobs
+			}
+			if *seed != 0 {
+				cfg.Seed = *seed
+			}
+			writeLog(*out, dastrace.Generate(cfg),
+				fmt.Sprintf("Synthetic DAS1-like log\nJobs: %d\nSeed: %d\nMaxProcs: 128", cfg.NumJobs, cfg.Seed))
+		case "feitelson":
+			n, s := 20000, uint64(1)
+			if *jobs > 0 {
+				n = *jobs
+			}
+			if *seed != 0 {
+				s = *seed
+			}
+			cfg := wmodel.Default()
+			if *procs > 0 {
+				cfg.MaxProcs = *procs
+			}
+			if *serial >= 0 {
+				cfg.SerialProb = *serial
+			}
+			if *rate > 0 {
+				cfg.ArrivalRate = *rate
+			}
+			m, err := wmodel.New(cfg)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			w = f
-		}
-		header := fmt.Sprintf("Synthetic DAS1-like log\nJobs: %d\nSeed: %d\nMaxProcs: 128", cfg.NumJobs, cfg.Seed)
-		if err := dastrace.WriteSWF(w, recs, header); err != nil {
-			fatalf("%v", err)
-		}
-		// Close errors surface the write failures (full disk, quota) that
-		// only materialize when buffered data is flushed.
-		if f != nil {
-			if err := f.Close(); err != nil {
-				fatalf("%v", err)
-			}
+			writeLog(*out, m.Generate(n, s),
+				fmt.Sprintf("Feitelson-style model trace\nJobs: %d\nSeed: %d\nMaxProcs: %d", n, s, cfg.MaxProcs))
+		default:
+			cliutil.Failf("mctrace", "unknown -model %q (want das or feitelson)", *model)
 		}
 
 	case "stats":
-		recs := loadLog(os.Args[2:])
+		recs := cliutil.LoadLog("mctrace", os.Args[2:])
 		ls := dastrace.Analyze(recs)
 		fmt.Printf("jobs                %d\n", ls.Jobs)
 		fmt.Printf("distinct sizes      %d in [%d, %d]\n", ls.DistinctSizes, ls.MinSize, ls.MaxSize)
@@ -73,7 +95,7 @@ func main() {
 		fmt.Print(dastrace.FormatTable1(ls))
 
 	case "density":
-		recs := loadLog(os.Args[2:])
+		recs := cliutil.LoadLog("mctrace", os.Args[2:])
 		sizes, counts := dastrace.SizeDensity(recs)
 		fmt.Println("size jobs")
 		for i, s := range sizes {
@@ -92,7 +114,7 @@ func main() {
 		if window && (*from < 0 || *to <= *from) {
 			cliutil.Failf("mctrace", "-from %g -to %g: set both, with 0 <= -from < -to", *from, *to)
 		}
-		recs := loadLog(fs.Args())
+		recs := cliutil.LoadLog("mctrace", fs.Args())
 		if *maxSize > 0 {
 			recs = dastrace.FilterMaxSize(recs, *maxSize)
 		}
@@ -103,46 +125,33 @@ func main() {
 			recs = dastrace.FilterWindow(recs, *from, *to)
 		}
 		recs = dastrace.Renumber(recs)
-		w := os.Stdout
-		var f *os.File
-		if *out != "" {
-			var err error
-			f, err = os.Create(*out)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			w = f
-		}
-		if err := dastrace.WriteSWF(w, recs, fmt.Sprintf("Filtered log\nJobs: %d", len(recs))); err != nil {
-			fatalf("%v", err)
-		}
-		if f != nil {
-			if err := f.Close(); err != nil {
-				fatalf("%v", err)
-			}
-		}
+		writeLog(*out, recs, fmt.Sprintf("Filtered log\nJobs: %d", len(recs)))
 
 	default:
 		usage()
 	}
 }
 
-// loadLog reads an SWF file when a path is given, and otherwise generates
-// the canonical synthetic log.
-func loadLog(args []string) []dastrace.Record {
-	if len(args) == 0 {
-		return dastrace.Default()
+// writeLog writes recs as SWF with the given header, to the file named
+// out or to stdout when out is empty.
+func writeLog(out string, recs []dastrace.Record, header string) {
+	w := os.Stdout
+	if out != "" {
+		var err error
+		if w, err = os.Create(out); err != nil {
+			fatalf("%v", err)
+		}
 	}
-	f, err := os.Open(args[0])
-	if err != nil {
+	if err := dastrace.WriteSWF(w, recs, header); err != nil {
 		fatalf("%v", err)
 	}
-	defer f.Close() //detlint:ignore closecheck read-only handle; ReadSWF's error is the one that matters
-	recs, err := dastrace.ReadSWF(f)
-	if err != nil {
-		fatalf("%v", err)
+	// Close errors surface the write failures (full disk, quota) that
+	// only materialize when buffered data is flushed.
+	if out != "" {
+		if err := w.Close(); err != nil {
+			fatalf("%v", err)
+		}
 	}
-	return recs
 }
 
 func usage() {

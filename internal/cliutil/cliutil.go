@@ -1,9 +1,8 @@
-// Package cliutil centralizes the flag parsing and validation shared by
-// the commands, so mcsim, mcexp and mcreplay reject the same bad inputs
-// with the same wording and the same exit status. Historically mcsim
-// exited 1 via its fatalf helper while mcexp exited 2 via inline fprintf
-// checks; flag errors now uniformly use status 2 (the conventional
-// usage-error status), leaving status 1 for runtime failures.
+// Package cliutil centralizes the flag parsing, validation and log
+// loading shared by the commands, so mcsim, mcexp and mctrace reject the
+// same bad inputs with the same wording and the same exit status. Flag
+// errors use status 2 (the conventional usage-error status), leaving
+// status 1 for runtime failures.
 package cliutil
 
 import (
@@ -16,6 +15,7 @@ import (
 	"strings"
 
 	"coalloc/internal/cluster"
+	"coalloc/internal/dastrace"
 	"coalloc/internal/faults"
 	"coalloc/internal/obs"
 )
@@ -73,6 +73,25 @@ func Fit(prog, v string) cluster.Fit {
 	}
 	Failf(prog, "unknown fit rule %q (want WF, FF or BF)", v)
 	return cluster.WorstFit
+}
+
+// LoadLog reads the SWF log named by the first of args, or generates the
+// canonical synthetic DAS log when args is empty. A read error exits with
+// status 1.
+func LoadLog(prog string, args []string) []dastrace.Record {
+	if len(args) == 0 {
+		return dastrace.Default()
+	}
+	f, err := os.Open(args[0])
+	if err != nil {
+		fatalf(prog, "%v", err)
+	}
+	defer f.Close() //detlint:ignore closecheck read-only handle; ReadSWF's error is the one that matters
+	recs, err := dastrace.ReadSWF(f)
+	if err != nil {
+		fatalf(prog, "%v", err)
+	}
+	return recs
 }
 
 // Observer opens the observer the -metrics and -trace flags ask for: nil

@@ -2,10 +2,13 @@ package cliutil
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"coalloc/internal/cluster"
+	"coalloc/internal/dastrace"
 )
 
 type exitPanic int
@@ -133,5 +136,38 @@ func TestFit(t *testing.T) {
 	}
 	if code := captureExit(t, func() { Fit("test", "ZZ") }); code != 2 {
 		t.Errorf("Fit(ZZ) exit %d, want 2", code)
+	}
+}
+
+func TestLoadLog(t *testing.T) {
+	if got, want := len(LoadLog("test", nil)), dastrace.DefaultConfig().NumJobs; got != want {
+		t.Errorf("LoadLog with no file: %d records, want the synthetic log's %d", got, want)
+	}
+
+	dir := t.TempDir()
+	recs := dastrace.Generate(dastrace.GenConfig{NumJobs: 50, Seed: 3})
+	path := filepath.Join(dir, "log.swf")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dastrace.WriteSWF(f, recs, "test log"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := LoadLog("test", []string{path}); len(got) != len(recs) {
+		t.Errorf("LoadLog(%s): %d records, want %d", path, len(got), len(recs))
+	}
+
+	bad := filepath.Join(dir, "bad.swf")
+	if err := os.WriteFile(bad, []byte("1 x y\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{filepath.Join(dir, "missing.swf"), bad} {
+		if code := captureExit(t, func() { LoadLog("test", []string{p}) }); code != 1 {
+			t.Errorf("LoadLog(%s) exit %d, want 1", p, code)
+		}
 	}
 }

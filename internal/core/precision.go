@@ -87,34 +87,17 @@ func RunUntilPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 	results := make([]Result, cfg.MaxReplications)
 	errs := make([]error, cfg.MaxReplications)
 	ran := 0 // replications launched (and completed) so far
-	serial := cfg.Run.Observer != nil
 	batch := workpool.Size()
-	if serial || batch < 1 {
+	if cfg.Run.Observer != nil || batch < 1 {
 		batch = 1
 	}
-	// ensure runs replications [ran, n) — concurrently on the pool unless
-	// an Observer forces the serial path — and waits for them.
+	// ensure runs replications [ran, n) and waits for them.
 	ensure := func(n int) {
-		if n > cfg.MaxReplications {
-			n = cfg.MaxReplications
-		}
+		n = min(n, cfg.MaxReplications)
 		if n <= ran {
 			return
 		}
-		lo := ran
-		runOne := func(k int) {
-			i := lo + k
-			c := cfg.Run
-			c.Seed = cfg.Run.Seed + uint64(i)*1000003
-			results[i], errs[i] = Run(c)
-		}
-		if serial {
-			for k := 0; k < n-lo; k++ {
-				runOne(k)
-			}
-		} else {
-			workpool.Do(n-lo, runOne)
-		}
+		runReplicationRange(cfg.Run, results, errs, ran, n)
 		ran = n
 	}
 

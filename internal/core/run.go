@@ -650,9 +650,9 @@ func RunAtUtilization(cfg Config, grossUtil float64) (Result, error) {
 	return Run(cfg)
 }
 
-// RunReplications runs n independent replications (seeds Seed, Seed+1, ...)
-// and merges the results. The response-time half-width is the 95% Student-t
-// interval across replication means.
+// RunReplications runs n independent replications (seeds Seed,
+// Seed+1000003, ...) and merges the results. The response-time half-width
+// is the 95% Student-t interval across replication means.
 //
 // Replications execute concurrently on the shared worker pool (package
 // workpool), but the merge consumes their results in seed order, so the
@@ -663,27 +663,35 @@ func RunReplications(cfg Config, n int) (Result, error) {
 	}
 	results := make([]Result, n)
 	errs := make([]error, n)
-	runOne := func(i int) {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)*1000003
-		results[i], errs[i] = Run(c)
-	}
-	if cfg.Observer != nil {
-		// An Observer is single-threaded and its trace must be a
-		// deterministic, byte-identical record of the event order:
-		// observed replications run serially, in seed order.
-		for i := 0; i < n; i++ {
-			runOne(i)
-		}
-	} else {
-		workpool.Do(n, runOne)
-	}
+	runReplicationRange(cfg, results, errs, 0, n)
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, err
 		}
 	}
 	return mergeReplications(results), nil
+}
+
+// runReplicationRange runs replications [lo, hi) of cfg into results and
+// errs: replication i runs with seed cfg.Seed + i*1000003. They run
+// concurrently on the shared worker pool, except with an Observer: it is
+// single-threaded and its trace must be a deterministic, byte-identical
+// record of the event order, so observed replications run serially, in
+// seed order.
+func runReplicationRange(cfg Config, results []Result, errs []error, lo, hi int) {
+	runOne := func(k int) {
+		i := lo + k
+		c := cfg
+		c.Seed = cfg.Seed + uint64(i)*1000003
+		results[i], errs[i] = Run(c)
+	}
+	if cfg.Observer != nil {
+		for k := 0; k < hi-lo; k++ {
+			runOne(k)
+		}
+		return
+	}
+	workpool.Do(hi-lo, runOne)
 }
 
 // mergeReplications folds per-replication results, in order, into the

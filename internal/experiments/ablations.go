@@ -63,25 +63,13 @@ func ReqTypes(e *Env) (string, error) {
 	return b.String(), nil
 }
 
-// pointTyped is Point with a request type.
+// pointTyped is Point with a request type. Only unordered requests draw
+// the shared workload trace; the other types build their own jobs.
 func (e *Env) pointTyped(cs CurveSpec, rt workload.RequestType, util float64) (core.Result, error) {
-	var capacity int
-	for _, s := range cs.ClusterSizes {
-		capacity += s
-	}
-	cfg := core.Config{
-		ClusterSizes:     cs.ClusterSizes,
-		Spec:             cs.Spec,
-		Policy:           cs.Policy,
-		Fit:              cs.Fit,
-		RequestType:      rt,
-		ArrivalRate:      cs.Spec.ArrivalRateForGrossUtilization(util, capacity),
-		QueueWeights:     cs.QueueWeights,
-		WarmupJobs:       e.WarmupJobs,
-		MeasureJobs:      e.MeasureJobs,
-		Seed:             e.Seed,
-		Observer:         e.Observer,
-		SaturationCutoff: e.SaturationCutoff,
+	cfg := e.pointConfig(cs, util)
+	cfg.RequestType = rt
+	if rt != workload.Unordered {
+		cfg.TraceProvider = nil
 	}
 	return e.runPoint(cfg)
 }

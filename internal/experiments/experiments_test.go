@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"coalloc/internal/core"
+	"coalloc/internal/dectrace"
 	"coalloc/internal/plot"
+	"coalloc/internal/workload"
 )
 
 // tinyParams keeps integration runs fast while still exercising the full
@@ -227,7 +229,7 @@ func TestBalanceName(t *testing.T) {
 	}
 }
 
-func TestRunPointsOrderAndErrors(t *testing.T) {
+func TestRunSetOrderAndErrors(t *testing.T) {
 	env := NewEnv(tinyParams())
 	cs := CurveSpec{
 		Policy:       "GS",
@@ -235,12 +237,13 @@ func TestRunPointsOrderAndErrors(t *testing.T) {
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
 	grid := []float64{0.2, 0.3, 0.4}
-	results, err := runPoints(grid, func(u float64) (core.Result, error) {
+	out, err := runSet([]curveJob{{grid: grid, fn: func(u float64) (core.Result, error) {
 		return env.point(cs, u)
-	})
+	}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := out[0]
 	if len(results) != len(grid) {
 		t.Fatalf("%d results for %d points", len(results), len(grid))
 	}
@@ -252,14 +255,37 @@ func TestRunPointsOrderAndErrors(t *testing.T) {
 		}
 	}
 	// Errors propagate.
-	_, err = runPoints(grid, func(u float64) (core.Result, error) {
+	_, err = runSet([]curveJob{{grid: grid, fn: func(u float64) (core.Result, error) {
 		if u == 0.3 {
 			return core.Result{}, errSentinel
 		}
 		return core.Result{}, nil
-	})
+	}}}, nil)
 	if err != errSentinel {
 		t.Errorf("error not propagated: %v", err)
+	}
+}
+
+// TestTypedPointsKeepEnvSettings checks that the request-type curves run
+// with the Env's settings: with Params.Decisions set, every request type
+// records its scheduling decisions, not only the shared-trace curves.
+func TestTypedPointsKeepEnvSettings(t *testing.T) {
+	p := tinyParams()
+	p.Decisions = &dectrace.Options{}
+	env := NewEnv(p)
+	cs := CurveSpec{
+		Policy:       "GS",
+		ClusterSizes: MulticlusterSizes,
+		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
+	}
+	for _, rt := range []workload.RequestType{workload.Unordered, workload.Ordered, workload.Flexible} {
+		res, err := env.pointTyped(cs, rt, 0.4)
+		if err != nil {
+			t.Fatalf("%s: %v", rt, err)
+		}
+		if res.Decisions == 0 {
+			t.Errorf("%s requests recorded no decisions with Params.Decisions set", rt)
+		}
 	}
 }
 

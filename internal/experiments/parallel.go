@@ -162,16 +162,6 @@ func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
 	return out, nil
 }
 
-// runPoints runs fn over the grid of a single curve on the shared
-// workpool and returns results in grid order — runSet for one curve.
-func runPoints(grid []float64, fn func(util float64) (core.Result, error)) ([]core.Result, error) {
-	out, err := runSet([]curveJob{{grid: grid, fn: fn}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // sweepSet runs a set of curves and returns each curve's results in grid
 // order: all on runSet at once, or — with an Observer attached, which is
 // single-threaded — serially in grid order. Both paths produce identical
