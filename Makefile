@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify test bench-test bench-smoke lint fmt-check
+.PHONY: verify test bench-test bench-smoke outputs lint fmt-check
 
 # verify is the tier-1 gate: formatting, vet, build, the detlint
 # determinism rules (cmd/mclint), the full test suite, and the test
@@ -46,6 +46,37 @@ fmt-check:
 # bench-smoke runs the repo benchmark (bench/run.sh, declared in
 # BENCHMARK.json) once over all four workloads at seed 1. It checks every
 # workload's output against its golden and the seed-independent checks,
-# and exits non-zero on any failure.
+# and exits non-zero on any failure. It checks the benchmark's own
+# outputs; `make outputs` (below) collects the commands' outputs for a
+# parent-vs-change `diff -r`.
 bench-smoke:
 	bash bench/run.sh -workload all -reps 1 -seed 1
+
+# outputs writes the user-visible output corpus of the commands into
+# OUT (required): `mcexp -quick -data OUT/mcexp all` text and CSVs; mcsim
+# stdout with the -metrics block, plus its -trace JSONL, for LS, LS-sorted
+# -unbalanced, LP -unbalanced -decisions, LS under failures with
+# -decisions, GS-CONS with failures, checkpoints and -decisions, SC -reps
+# 3, SC-EASY and SC-CONS; one -backlog run; and one -replay run with its
+# -schedule CSV. A refactor that must not change outputs runs it on the
+# parent tree and on the change and compares them with `diff -r`.
+outputs:
+	@if [ -z "$(OUT)" ]; then echo "usage: make outputs OUT=DIR"; exit 2; fi
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./cmd/mcsim ./cmd/mcexp; \
+	mkdir -p "$(OUT)/mcexp"; \
+	"$$bin/mcexp" -quick -data "$(OUT)/mcexp" all > "$(OUT)/mcexp.txt"; \
+	sim() { name=$$1; shift; \
+		"$$bin/mcsim" -jobs 5000 -warmup 500 -metrics -trace "$(OUT)/$$name.jsonl" "$$@" > "$(OUT)/$$name.txt"; }; \
+	sim ls -policy LS; \
+	sim ls-sorted -policy LS-sorted -unbalanced; \
+	sim lp -policy LP -unbalanced -decisions; \
+	sim ls-faults -policy LS -mtbf 2000 -decisions; \
+	sim cons-faults -policy GS-CONS -decisions -mtbf 3000 -checkpoint-interval 300; \
+	sim sc-reps -policy SC -reps 3; \
+	sim sc-easy -policy SC-EASY; \
+	sim sc-cons -policy SC-CONS; \
+	"$$bin/mcsim" -policy GS -limit 24 -backlog > "$(OUT)/backlog.txt"; \
+	"$$bin/mcsim" -replay -policy GS-CONS -jobs 5000 -metrics -trace "$(OUT)/replay.jsonl" \
+		-schedule "$(OUT)/replay-schedule.csv" > "$(OUT)/replay.txt"; \
+	echo "outputs written to $(OUT)"

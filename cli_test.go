@@ -199,6 +199,11 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-reps", "0"}, "-reps"},
 			{"mcsim", []string{"-reps", "-3"}, "-reps"},
 			{"mcsim", []string{"-jobs", "0"}, "-jobs"},
+			{"mcsim", []string{"-ext", "NaN"}, "-ext"},
+			{"mcsim", []string{"-ext", "Inf"}, "-ext"},
+			{"mcsim", []string{"-replay", "-ext", "0.5"}, "-ext"},
+			{"mcsim", []string{"-mtbf", "-5"}, "-mtbf"},
+			{"mcsim", []string{"-mtbf", "NaN"}, "-mtbf"},
 			{"mcsim", []string{"-replay", "-jobs", "-5"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-jobs", "0"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-load", "0"}, "-load"},

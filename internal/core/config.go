@@ -89,11 +89,10 @@ type Config struct {
 	// faults). The fault draws come from their own named streams, so a
 	// workload trace stays valid under any failure rate. A nil or
 	// zero-rate spec leaves the run bit-identical to a fault-free one —
-	// pinned by a guardrail test. Every built-in policy is fault-aware,
-	// including the backfilling pair (GS-EASY, GS-CONS), which repair
-	// their availability profiles on kills and capacity changes; Validate
-	// still rejects the combination for any future policy that does not
-	// implement policies.FaultAware.
+	// pinned by a guardrail test. A negative or NaN MTBF is rejected.
+	// Every policy handles the fault events (policies.Policy), including
+	// the backfilling pair (GS-EASY, GS-CONS), which repair their
+	// availability profiles on kills and capacity changes.
 	Faults *faults.Spec
 	// Decisions, when non-nil, enables the decision-trace layer (package
 	// dectrace): every dispatch, head miss, reservation and backfill
@@ -153,9 +152,6 @@ func (c *Config) validate() (policies.Policy, error) {
 	if c.Faults.Enabled() {
 		if err := c.Faults.Validate(); err != nil {
 			return nil, err
-		}
-		if _, ok := pol.(policies.FaultAware); !ok {
-			return nil, fmt.Errorf("core: policy %s does not implement policies.FaultAware (abort handling, capacity-change repair of any retained scheduling state), so it cannot run with fault injection", c.Policy)
 		}
 	}
 	return pol, nil
@@ -226,7 +222,9 @@ const PolicyNames = "GS, GS-EASY, GS-CONS, GS-SPF, LS, LS-sorted, LP, SC, SC-EAS
 
 // buildPolicy constructs a policy by its paper abbreviation. lookahead is
 // the conservative-backfilling reservation bound (system.build rejects
-// negative values); 0 selects the default.
+// negative values); 0 selects the default. The single-cluster references
+// SC, SC-EASY and SC-CONS are GS, GS-EASY and GS-CONS on one cluster,
+// always under Worst Fit: fit is ignored for them.
 func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (policies.Policy, error) {
 	if lookahead == 0 {
 		lookahead = policies.DefaultLookahead
@@ -238,7 +236,7 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 		if clusters != 1 {
 			return nil, fmt.Errorf("core: SC needs a single cluster, got %d", clusters)
 		}
-		return policies.NewSC(), nil
+		return policies.NewGS(cluster.WorstFit), nil
 	case "GS-EASY":
 		return policies.NewEASY(fit), nil
 	case "GS-CONS":
@@ -249,12 +247,12 @@ func buildPolicy(name string, clusters int, fit cluster.Fit, lookahead int) (pol
 		if clusters != 1 {
 			return nil, fmt.Errorf("core: SC-CONS needs a single cluster, got %d", clusters)
 		}
-		return policies.NewSCConservative(lookahead), nil
+		return policies.NewConservative(cluster.WorstFit, lookahead), nil
 	case "SC-EASY":
 		if clusters != 1 {
 			return nil, fmt.Errorf("core: SC-EASY needs a single cluster, got %d", clusters)
 		}
-		return policies.NewSCEASY(), nil
+		return policies.NewEASY(cluster.WorstFit), nil
 	case "LS":
 		return policies.NewLS(clusters, fit), nil
 	case "LS-sorted":

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"coalloc/internal/analysis"
 	"coalloc/internal/dist"
+	"coalloc/internal/faults"
 	"coalloc/internal/workload"
 )
 
@@ -294,6 +296,38 @@ func TestRunReplicationsMerges(t *testing.T) {
 	}
 }
 
+// TestRunReplicationsSingleIsRun: one replication is the run itself, so it
+// keeps the run's finite batch-means half-width instead of an
+// across-replication interval over n = 1 (+Inf).
+func TestRunReplicationsSingleIsRun(t *testing.T) {
+	cfg := Config{
+		ClusterSizes: []int{32, 32, 32, 32},
+		Spec:         testSpec(t, 16, 4),
+		Policy:       "LS",
+		WarmupJobs:   200,
+		MeasureJobs:  2000,
+		Seed:         1,
+		ArrivalRate:  testSpecRate(t, 0.6),
+	}
+	one, err := RunReplications(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(run.RespHalfWidth, 0) || !(run.RespHalfWidth > 0) {
+		t.Fatalf("Run half-width %g, want positive and finite", run.RespHalfWidth)
+	}
+	if one.RespHalfWidth != run.RespHalfWidth {
+		t.Errorf("RunReplications(cfg, 1) half-width %g, want Run's %g", one.RespHalfWidth, run.RespHalfWidth)
+	}
+	if fmt.Sprintf("%v", one) != fmt.Sprintf("%v", run) {
+		t.Errorf("RunReplications(cfg, 1) differs from Run(cfg):\n%v\n%v", one, run)
+	}
+}
+
 func TestSizeClassHelpers(t *testing.T) {
 	cases := map[int]int{1: 0, 8: 0, 9: 1, 16: 1, 17: 2, 32: 2, 33: 3, 64: 3, 65: 4, 128: 4, 500: 4}
 	for size, want := range cases {
@@ -330,10 +364,17 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.QueueWeights = []float64{1, 2} },
 		func(c *Config) { c.Spec.Clusters = 2 },
 		func(c *Config) { c.MeasureJobs = -1 },
+		// A non-finite extension factor would schedule a departure at a
+		// non-finite time; a negative or NaN MTBF would run fault-free.
+		func(c *Config) { c.Spec.ExtensionFactor = math.NaN() },
+		func(c *Config) { c.Spec.ExtensionFactor = math.Inf(1) },
+		func(c *Config) { c.Faults = &faults.Spec{MTBF: -5, MTTR: 900} },
+		func(c *Config) { c.Faults = &faults.Spec{MTBF: math.NaN(), MTTR: 900} },
 	}
 	for i, f := range mutate {
 		c := good
 		f(&c)
+		c.applyDefaults()
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
@@ -447,6 +488,8 @@ func TestGSAndSCIdenticalOnOneCluster(t *testing.T) {
 
 func TestBacklogValidation(t *testing.T) {
 	spec := testSpec(t, 16, 4)
+	nanExt, infExt := spec, spec
+	nanExt.ExtensionFactor, infExt.ExtensionFactor = math.NaN(), math.Inf(1)
 	bad := []BacklogConfig{
 		{Spec: spec, Policy: "GS"},
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "XX"},
@@ -459,6 +502,8 @@ func TestBacklogValidation(t *testing.T) {
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", WarmupTime: -1},
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", WarmupTime: math.NaN()},
 		{ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS", MeasureTime: math.Inf(1)},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: nanExt, Policy: "GS"},
+		{ClusterSizes: []int{32, 32, 32, 32}, Spec: infExt, Policy: "GS"},
 	}
 	for i, cfg := range bad {
 		if _, err := RunBacklog(cfg); err == nil {

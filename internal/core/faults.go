@@ -101,12 +101,10 @@ func (s *simulation) nodeFail(c int) {
 	// processor went down silently and only the capacity forecast of a
 	// backfilling policy needs the news.
 	if victim != nil {
-		s.faultPol.JobKilled(s, victim, c)
-		if s.obs.Enabled() {
-			s.obs.QueueDepth(s.pol.Queued())
-		}
+		s.pol.JobKilled(s, victim, c)
+		s.sampleQueueDepth()
 	} else {
-		s.faultPol.CapacityLost(s, c)
+		s.pol.CapacityLost(s, c)
 	}
 }
 
@@ -167,10 +165,8 @@ func (s *simulation) nodeRepair(c int) {
 	s.flt.inj.Stats.Repairs++
 	s.availCap.Set(now, float64(s.m.TotalAvail()))
 	s.obs.NodeRepaired(now, c, s.m.TotalAvail())
-	s.faultPol.CapacityRestored(s, c)
-	if s.obs.Enabled() {
-		s.obs.QueueDepth(s.pol.Queued())
-	}
+	s.pol.CapacityRestored(s, c)
+	s.sampleQueueDepth()
 }
 
 // resubmit re-queues an aborted job after its backoff. The job re-enters
@@ -182,7 +178,5 @@ func (s *simulation) resubmit(j *workload.Job) {
 	s.flt.killedPending--
 	s.obs.JobResubmitted(now, j.ID, j.Retries)
 	s.pol.Submit(s, j)
-	if s.obs.Enabled() {
-		s.obs.QueueDepth(s.pol.Queued())
-	}
+	s.sampleQueueDepth()
 }

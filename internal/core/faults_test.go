@@ -141,7 +141,7 @@ func TestFaultInjectionKillsAndRepairs(t *testing.T) {
 }
 
 // TestFaultConfigValidation accepts fault specs on every built-in policy
-// (the backfilling pair became FaultAware) and rejects incomplete specs.
+// (every policy handles the fault events) and rejects incomplete specs.
 func TestFaultConfigValidation(t *testing.T) {
 	for _, policy := range []string{"GS", "LS", "LP", "GS-SPF", "GS-EASY", "GS-CONS"} {
 		ok := faultTestConfig(t, policy, &faults.Spec{MTBF: 1000, MTTR: 900})

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
+	"coalloc/internal/dectrace"
 	"coalloc/internal/obs"
 	"coalloc/internal/rng"
+	"coalloc/internal/sim"
+	"coalloc/internal/workload"
 )
 
 // obsRunConfig is a small observed LS run exercising arrivals, starts,
@@ -237,5 +241,114 @@ func TestRunReplicationsObservedSerialMatchesParallel(t *testing.T) {
 	}
 	if cfg.Observer.Metrics.Counter("jobs.departures").Value() == 0 {
 		t.Fatal("observer saw no departures across replications")
+	}
+}
+
+// TestEngineStatsReported: the event kernel never sees the observer; core
+// reports its lifetime counters at the end of a run, and they equal the
+// engine's own accessors. In a fault-free open-system run every executed
+// event is an arrival or a departure, so sim.events also equals their sum.
+func TestEngineStatsReported(t *testing.T) {
+	s := &simulation{eng: sim.New(), obs: obs.New(nil)}
+	s.eng.SetHandler(func(int32, any) {})
+	for i := 0; i < 10; i++ {
+		s.eng.ScheduleAfter(float64(i%3), 0, nil)
+	}
+	s.eng.Run()
+	s.reportEngine()
+	m := s.obs.Metrics
+	if got, want := m.Counter("sim.events").Value(), s.eng.Steps(); got != want || got != 10 {
+		t.Errorf("sim.events = %d, want Steps() = %d = 10", got, want)
+	}
+	if got, want := m.Counter("sim.scheduled").Value(), s.eng.Scheduled(); got != want {
+		t.Errorf("sim.scheduled = %d, want Scheduled() = %d", got, want)
+	}
+	if got, want := m.Gauge("sim.pool.arena_slots").Value(), float64(s.eng.ArenaSlots()); got != want {
+		t.Errorf("sim.pool.arena_slots = %g, want ArenaSlots() = %g", got, want)
+	}
+
+	cfg := obsRunConfig(t)
+	o := obs.New(nil)
+	cfg.Observer = o
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	m = o.Metrics
+	events := m.Counter("sim.events").Value()
+	if want := m.Counter("jobs.arrivals").Value() + m.Counter("jobs.departures").Value(); events != want {
+		t.Errorf("observed run: sim.events = %d, want arrivals+departures = %d", events, want)
+	}
+	if scheduled := m.Counter("sim.scheduled").Value(); scheduled <= events {
+		t.Errorf("observed run: sim.scheduled = %d, want more than the %d executed (the next arrival is pending)", scheduled, events)
+	}
+}
+
+// TestQueueTransitionTimestamps: the multi-queue policies report their
+// enable/disable transitions through the scheduling context, at the
+// virtual time of the event that caused them. In a real run every
+// disable or enable record must therefore carry the time of the nearest
+// preceding record of another kind (the arrival, departure or decision
+// whose pass made the transition).
+func TestQueueTransitionTimestamps(t *testing.T) {
+	cases := []struct {
+		policy    string
+		weights   []float64
+		decisions bool
+	}{
+		{"LS", nil, false},
+		{"LS-sorted", Unbalanced(4), false},
+		{"LP", nil, true},
+	}
+	for _, c := range cases {
+		t.Run(c.policy, func(t *testing.T) {
+			cfg := obsRunConfig(t)
+			cfg.Policy = c.policy
+			cfg.QueueWeights = c.weights
+			if c.decisions {
+				cfg.Decisions = &dectrace.Options{}
+			}
+			var buf bytes.Buffer
+			cfg.Observer = obs.New(&buf)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := cfg.Observer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var rec struct {
+				T     float64 `json:"t"`
+				Ev    string  `json:"ev"`
+				Queue int     `json:"queue"`
+			}
+			last := math.NaN()
+			counts := map[string]int{}
+			global := 0
+			for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
+				rec.Queue = 0
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("line %d: %v", i+1, err)
+				}
+				counts[rec.Ev]++
+				if rec.Ev != "disable" && rec.Ev != "enable" {
+					last = rec.T
+					continue
+				}
+				if rec.T != last {
+					t.Fatalf("line %d: %s of queue %d at t=%v, want the preceding record's t=%v", i+1, rec.Ev, rec.Queue, rec.T, last)
+				}
+				if rec.Queue == workload.GlobalQueue {
+					global++
+				}
+			}
+			if counts["disable"] == 0 || counts["enable"] == 0 {
+				t.Fatalf("no transitions to check: %v", counts)
+			}
+			if c.decisions && counts["decision"] == 0 {
+				t.Fatalf("no decision records: %v", counts)
+			}
+			if c.policy == "LP" && global == 0 {
+				t.Fatal("LP run recorded no global-queue transition")
+			}
+		})
 	}
 }

@@ -171,7 +171,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		s.eng.Schedule(r.Submit/load, evArrival, j)
 	}
 	s.eng.Run()
-	s.eng.ReportStats()
+	s.reportEngine()
 
 	if q := s.pol.Queued(); q > 0 {
 		return ReplayResult{}, fmt.Errorf("core: replay ended with %d jobs stuck in queue", q)

@@ -125,7 +125,6 @@ type simulation struct {
 	// Fault injection (nil / unused unless Config.Faults is enabled; the
 	// fault-free hot path pays one nil compare per departure).
 	flt      *faultState //detlint:ignore eventretain the registry inside drops each handle when its departure fires or is cancelled (see faultState)
-	faultPol policies.FaultAware
 	availCap stats.TimeWeighted
 
 	// The job source, and the state only the backlog and replay sources
@@ -177,17 +176,26 @@ func (s *simulation) observe(o *obs.Observer) {
 		return
 	}
 	s.obs = o
-	s.eng.SetObserver(o)
-	o.SetClock(s.eng.Now)
-	if setter, ok := s.pol.(policies.ObserverSetter); ok {
-		setter.SetObserver(o)
-	}
 	// With both tracing and observability on, decision records flow into
 	// the run's JSONL trace and metrics. The observer serializes the
 	// record synchronously, as the sink contract requires.
 	if s.dec != nil {
 		s.dec.SetSink(o.Decision)
 	}
+}
+
+// sampleQueueDepth samples the policy's backlog into the observer; the
+// Queued scan is skipped while observability is off.
+func (s *simulation) sampleQueueDepth() {
+	if s.obs.Enabled() {
+		s.obs.QueueDepth(s.pol.Queued())
+	}
+}
+
+// reportEngine reports the event kernel's lifetime counters at the end of
+// a run. The kernel itself never sees the observer.
+func (s *simulation) reportEngine() {
+	s.obs.EngineStats(s.eng.Steps(), s.eng.Scheduled(), s.eng.ArenaSlots())
 }
 
 // recycle returns the run's arena to the pool. The run is over and no
@@ -333,9 +341,7 @@ func (s *simulation) depart(j *workload.Job) {
 	if s.src == backlogSource {
 		s.topUp()
 	}
-	if s.obs.Enabled() {
-		s.obs.QueueDepth(s.pol.Queued())
-	}
+	s.sampleQueueDepth()
 }
 
 // cutoffThreshold is the backlog growth at which a full-horizon run is
@@ -441,9 +447,7 @@ func (s *simulation) submit(j *workload.Job) {
 			s.maxQueue = q
 		}
 	}
-	if s.obs.Enabled() {
-		s.obs.QueueDepth(s.pol.Queued())
-	}
+	s.sampleQueueDepth()
 }
 
 // scheduleArrival schedules the next Poisson arrival: at the trace's next
@@ -497,11 +501,9 @@ func Run(cfg Config) (Result, error) {
 		s.cutoffNext = s.cutoffStride
 	}
 	if cfg.Faults != nil {
-		// applyDefaults dropped zero-rate specs and validate vouched that
-		// the policy is fault-aware; the type assertion re-checks the
-		// invariant at the wiring point.
+		// applyDefaults dropped zero-rate specs and validate rejected the
+		// rest of the invalid ones.
 		s.flt = newFaultState(*cfg.Faults, len(cfg.ClusterSizes), src)
-		s.faultPol = pol.(policies.FaultAware)
 		s.availCap.StartAt(0, float64(s.m.TotalAvail()))
 		for c := 0; c < s.m.NumClusters(); c++ {
 			s.eng.ScheduleAfter(s.flt.inj.NextFailure(c), evNodeFail, c)
@@ -522,7 +524,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	s.scheduleArrival()
 	s.eng.Run()
-	s.eng.ReportStats()
+	s.reportEngine()
 
 	now := s.eng.Now()
 	window := now - s.measureFrom
@@ -652,14 +654,16 @@ func RunAtUtilization(cfg Config, grossUtil float64) (Result, error) {
 
 // RunReplications runs n independent replications (seeds Seed,
 // Seed+1000003, ...) and merges the results. The response-time half-width
-// is the 95% Student-t interval across replication means.
+// is the 95% Student-t interval across replication means. One replication
+// (n <= 1) is Run(cfg) unchanged, with its batch-means half-width: an
+// across-replication interval over a single mean would be infinite.
 //
 // Replications execute concurrently on the shared worker pool (package
 // workpool), but the merge consumes their results in seed order, so the
 // returned Result is bit-identical to running the replications serially.
 func RunReplications(cfg Config, n int) (Result, error) {
-	if n <= 0 {
-		n = 1
+	if n <= 1 {
+		return Run(cfg)
 	}
 	results := make([]Result, n)
 	errs := make([]error, n)

@@ -59,9 +59,10 @@ type Spec struct {
 	CheckpointInterval float64
 }
 
-// Enabled reports whether the spec injects any failures. It is safe on a
-// nil receiver.
-func (s *Spec) Enabled() bool { return s != nil && s.MTBF > 0 }
+// Enabled reports whether the spec asks for fault injection: any MTBF but
+// zero, so that Validate rejects a negative or NaN MTBF instead of the
+// spec being dropped as fault-free. It is safe on a nil receiver.
+func (s *Spec) Enabled() bool { return s != nil && s.MTBF != 0 }
 
 // Normalized returns the spec with the retry defaults filled in.
 func (s Spec) Normalized() Spec {

@@ -20,6 +20,16 @@ func TestSpecEnabled(t *testing.T) {
 	if !(&Spec{MTBF: 100}).Enabled() {
 		t.Error("positive MTBF reports disabled")
 	}
+	// A bad MTBF must reach Validate, not pass as "no faults".
+	for _, mtbf := range []float64{-5, math.NaN()} {
+		s := &Spec{MTBF: mtbf, MTTR: 900}
+		if !s.Enabled() {
+			t.Errorf("MTBF %g reports disabled", mtbf)
+		}
+		if s.Validate() == nil {
+			t.Errorf("MTBF %g validated", mtbf)
+		}
+	}
 }
 
 func TestSpecValidate(t *testing.T) {

@@ -1,8 +1,13 @@
 // Package obs is the run-scoped observability layer of the simulator: a
 // deterministic metrics registry (counters, gauges, timer histograms), an
 // optional structured JSONL event-trace sink, and a nil-safe Observer that
-// the simulation layers (sim, queues, policies, core, experiments) report
-// into.
+// the simulation layers report into. It enters a run in one place, the
+// simulation in package core, which reports the job and fault events
+// and the event kernel's lifetime counters itself and hands the observer
+// to the policies through policies.Ctx.Obs; the policies, including their
+// queue enable/disable transitions, report only through that handle. The
+// event kernel (package sim) and the queues (package queues) do not know
+// the observer exists.
 //
 // Design constraints, in order:
 //
@@ -10,8 +15,8 @@
 //     method is nil-safe, and the hot paths of the simulator guard their
 //     reporting blocks with a plain pointer nil check, so a run without
 //     observability executes no observer code at all. The event kernel
-//     (internal/sim) never calls the observer from its inner loop — its
-//     lifetime counters are read once at the end of a run.
+//     (internal/sim) never calls the observer — core reads its lifetime
+//     counters once at the end of a run.
 //  2. Determinism. Metric values and trace bytes are pure functions of the
 //     simulated event sequence: no wall-clock timestamps, no map
 //     iteration, hand-rolled float formatting (strconv, shortest form).

@@ -21,7 +21,6 @@ type Observer struct {
 	Metrics *Metrics
 
 	trace *Trace
-	clock func() float64
 
 	arrivals   *Counter
 	starts     *Counter
@@ -111,24 +110,6 @@ func New(trace io.Writer) *Observer {
 // the guard as o.Enabled() rather than o != nil marks that intent: the
 // call is elidable, not load-bearing.
 func (o *Observer) Enabled() bool { return o != nil }
-
-// SetClock installs the virtual-clock reader used to timestamp trace
-// records that are reported without an explicit time (queue
-// enable/disable transitions). The simulation wires the engine's Now here.
-func (o *Observer) SetClock(now func() float64) {
-	if o == nil {
-		return
-	}
-	o.clock = now
-}
-
-// now reads the virtual clock, or 0 before SetClock.
-func (o *Observer) now() float64 {
-	if o.clock == nil {
-		return 0
-	}
-	return o.clock()
-}
 
 // Arrival records a job arrival: counter, and trace record when tracing.
 func (o *Observer) Arrival(at float64, job int64, size int, comps []int, queue int) {
@@ -284,26 +265,27 @@ func (o *Observer) BackfillSuccess() {
 	o.bfSuccesses.Inc()
 }
 
-// QueueDisabled records a queue leaving the scheduling visit order. The
-// trace record is timestamped from the observer's clock.
-func (o *Observer) QueueDisabled(queue int) {
+// QueueDisabled records a queue leaving the scheduling visit order at
+// virtual time at.
+func (o *Observer) QueueDisabled(at float64, queue int) {
 	if o == nil {
 		return
 	}
 	o.qDisables.Inc()
 	if o.trace != nil {
-		o.trace.Disable(o.now(), queue)
+		o.trace.Disable(at, queue)
 	}
 }
 
-// QueueEnabled records a queue rejoining the scheduling visit order.
-func (o *Observer) QueueEnabled(queue int) {
+// QueueEnabled records a queue rejoining the scheduling visit order at
+// virtual time at.
+func (o *Observer) QueueEnabled(at float64, queue int) {
 	if o == nil {
 		return
 	}
 	o.qEnables.Inc()
 	if o.trace != nil {
-		o.trace.Enable(o.now(), queue)
+		o.trace.Enable(at, queue)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
-	o.SetClock(func() float64 { return 1 })
 	o.Arrival(0, 1, 16, []int{16}, 0)
 	o.Start(0, 1, 0, []int{0})
 	o.Departure(1, 1, 1)
@@ -19,8 +18,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.HeadMiss(0)
 	o.BackfillAttempt()
 	o.BackfillSuccess()
-	o.QueueDisabled(0)
-	o.QueueEnabled(0)
+	o.QueueDisabled(0, 0)
+	o.QueueEnabled(0, 0)
 	o.QueueDepth(3)
 	o.EngineStats(10, 10, 2)
 	if err := o.Flush(); err != nil {
@@ -174,8 +173,8 @@ func TestObserverMetricsFlow(t *testing.T) {
 	o.HeadMiss(0)
 	o.BackfillAttempt()
 	o.BackfillSuccess()
-	o.QueueDisabled(2)
-	o.QueueEnabled(2)
+	o.QueueDisabled(2, 2)
+	o.QueueEnabled(2, 2)
 	o.QueueDepth(5)
 	o.QueueDepth(3)
 	o.EngineStats(100, 101, 3)
@@ -206,17 +205,18 @@ func TestObserverMetricsFlow(t *testing.T) {
 	}
 }
 
-func TestObserverClockTimestampsTransitions(t *testing.T) {
+// TestObserverTransitionsCarryTime: queue transitions are recorded at the
+// virtual time the caller passes, like every other trace hook.
+func TestObserverTransitionsCarryTime(t *testing.T) {
 	var buf bytes.Buffer
 	o := New(&buf)
-	now := 0.0
-	o.SetClock(func() float64 { return now })
-	now = 42.5
-	o.QueueDisabled(3)
+	o.QueueDisabled(42.5, 3)
+	o.QueueEnabled(50, -1)
 	if err := o.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.String(), `{"t":42.5,"ev":"disable","queue":3}`+"\n"; got != want {
+	want := `{"t":42.5,"ev":"disable","queue":3}` + "\n" + `{"t":50,"ev":"enable","queue":-1}` + "\n"
+	if got := buf.String(); got != want {
 		t.Errorf("got %q want %q", got, want)
 	}
 }

@@ -54,7 +54,6 @@ type resv struct {
 // resvOK and forces the full pass. TestConservativeElisionEquivalence pins
 // the two modes bit-identical over random streams.
 type Conservative struct {
-	name      string
 	q         queues.FIFO
 	fit       cluster.Fit
 	lookahead int
@@ -101,24 +100,14 @@ type Conservative struct {
 
 // NewConservative returns the conservative-backfilling global scheduler.
 // lookahead bounds the reserved queue prefix per pass; it must be >= 1
-// (DefaultLookahead is the conventional 32).
+// (DefaultLookahead is the conventional 32). On a one-cluster system it is
+// the SC-CONS reference.
 func NewConservative(fit cluster.Fit, lookahead int) *Conservative {
 	if lookahead < 1 {
 		panic(fmt.Sprintf("policies: NewConservative lookahead %d < 1", lookahead))
 	}
-	return &Conservative{name: "GS-CONS", fit: fit, lookahead: lookahead}
+	return &Conservative{fit: fit, lookahead: lookahead}
 }
-
-// NewSCConservative returns the single-cluster conservative-backfilling
-// reference policy.
-func NewSCConservative(lookahead int) *Conservative {
-	p := NewConservative(cluster.WorstFit, lookahead)
-	p.name = "SC-CONS"
-	return p
-}
-
-// Name returns "GS-CONS" or "SC-CONS".
-func (p *Conservative) Name() string { return p.name }
 
 // Submit enqueues the job and runs a scheduling pass. With retained
 // reservations the common case is the fast pass: existing reservations are
@@ -127,6 +116,13 @@ func (p *Conservative) Name() string { return p.name }
 func (p *Conservative) Submit(ctx Ctx, j *workload.Job) {
 	j.Queue = workload.GlobalQueue
 	p.q.Push(j)
+	p.schedule(ctx)
+}
+
+// schedule runs one scheduling opportunity: the fast pass from the
+// retained reservations, else the fast pass after repairing a stale
+// prefix, else the full pass.
+func (p *Conservative) schedule(ctx Ctx) {
 	if elidePasses {
 		if p.fastPass(ctx) {
 			return
@@ -158,19 +154,11 @@ func (p *Conservative) JobDeparted(ctx Ctx, j *workload.Job) {
 		}
 	}
 	p.recomputeNextFinish()
-	if elidePasses {
-		if p.fastPass(ctx) {
-			return
-		}
-		if p.tryRepair(ctx) && p.fastPass(ctx) {
-			return
-		}
-	}
-	p.pass(ctx)
+	p.schedule(ctx)
 }
 
 // JobKilled repairs the policy state after a failure on cluster c aborted
-// the victim (policies.FaultAware): the victim leaves the running set, its
+// the victim (Policy): the victim leaves the running set, its
 // remaining window returns to the base profile through the same early-
 // release path a preemptive departure takes, and the profile's capacity on
 // c drops by the processor the failure consumed. A kill is neither an
@@ -192,14 +180,14 @@ func (p *Conservative) JobKilled(ctx Ctx, victim *workload.Job, c int) {
 }
 
 // CapacityLost folds a silent failure — one idle processor of cluster c
-// went down — into the forecast (policies.FaultAware). The shrink can
+// went down — into the forecast (Policy). The shrink can
 // admit nothing (placement is monotone in the idle vector), but the stored
 // reservations were derived against the larger capacity and may now
 // overlap windows that no longer exist, so the state is re-derived.
 func (p *Conservative) CapacityLost(ctx Ctx, c int) { p.adjustCapacity(ctx, c, -1) }
 
 // CapacityRestored folds a repaired processor of cluster c back into the
-// forecast (policies.FaultAware). The full pass it forces also re-derives
+// forecast (Policy). The full pass it forces also re-derives
 // every never-fits (+Inf) reservation, which is only valid per capacity
 // regime — see neverFits.
 func (p *Conservative) CapacityRestored(ctx Ctx, c int) { p.adjustCapacity(ctx, c, +1) }
@@ -358,14 +346,19 @@ func (p *Conservative) start(ctx Ctx, j *workload.Job, placement []int, now, dur
 	}
 }
 
-// evalFast evaluates one job newly inside the lookahead window against the
-// retained scratch profile — exactly the work the full pass would do for
-// it at the same queue position, with every earlier job's reservation
-// already in the profile. Attempt counters are emitted in bulk by the
-// caller.
-func (p *Conservative) evalFast(ctx Ctx, m *cluster.Multicluster, prof *profile, s *Scratch, idx int, j *workload.Job, now float64, nc int) {
+// evalJob is the per-job reservation step: it starts the job at queue
+// position idx when its earliest start on prof is now, and otherwise
+// records its reservation (+Inf when it can never fit) and holds the
+// window in prof. The full pass runs it over the lookahead prefix; the
+// fast pass runs it for the jobs newly inside the window, against the
+// retained profile that already holds every earlier reservation — the
+// same input the full pass would see. Backfill attempts are counted by
+// the caller.
+func (p *Conservative) evalJob(ctx Ctx, m *cluster.Multicluster, prof *profile, s *Scratch, idx int, j *workload.Job, now float64, nc int) {
 	o := ctx.Obs()
 	if p.neverFits(m, j.Components, s) {
+		// Can never fit; it holds no window (it blocks nothing: all
+		// other jobs keep their own reservations).
 		p.appendResv(j, math.Inf(1), 0, nil, nc)
 		return
 	}
@@ -435,13 +428,8 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 		return true // a pass over an empty queue does nothing
 	}
 	now := ctx.Now()
-	if now >= p.nextFinish {
+	if !p.retainedCurrent(now) {
 		return false
-	}
-	for i := range p.resvs {
-		if p.resvs[i].t < now {
-			return false
-		}
 	}
 	m := ctx.Cluster()
 	o := ctx.Obs()
@@ -524,7 +512,7 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 	if covered > 0 && !headStarted && !math.IsInf(p.resvs[0].t, 1) {
 		// The head stayed queued on a finite future reservation: the full
 		// pass re-emits its miss every time. (A head newly inside the
-		// window — covered == 0 — gets its miss from evalFast instead.)
+		// window — covered == 0 — gets its miss from evalJob instead.)
 		o.HeadMiss(workload.GlobalQueue)
 	}
 	if covered < evaluated {
@@ -538,7 +526,7 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 			if idx >= evaluated {
 				return false
 			}
-			p.evalFast(ctx, m, prof, s, idx, j, now, nc)
+			p.evalJob(ctx, m, prof, s, idx, j, now, nc)
 			return true
 		})
 	}
@@ -550,6 +538,23 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 		p.repairOK = true
 	}
 	o.PassSkipped()
+	return true
+}
+
+// retainedCurrent is the precondition fastPass and tryRepair share for
+// serving a pass from retained reservations: no running job has reached
+// its forecast finish with its departure still unfired (the full pass
+// would subtract its overdue holding), and no reservation lies in the
+// past.
+func (p *Conservative) retainedCurrent(now float64) bool {
+	if now >= p.nextFinish {
+		return false
+	}
+	for i := range p.resvs {
+		if p.resvs[i].t < now {
+			return false
+		}
+	}
 	return true
 }
 
@@ -592,13 +597,8 @@ func (p *Conservative) tryRepair(ctx Ctx) bool {
 		return false
 	}
 	now := ctx.Now()
-	if now >= p.nextFinish {
+	if !p.retainedCurrent(now) {
 		return false
-	}
-	for i := range p.resvs {
-		if p.resvs[i].t < now {
-			return false
-		}
 	}
 	nc := len(p.availVec)
 	bound := p.staleBound
@@ -689,38 +689,7 @@ func (p *Conservative) pass(ctx Ctx) {
 		if idx > 0 {
 			o.BackfillAttempt()
 		}
-		if p.neverFits(m, j.Components, s) {
-			// Can never fit; it holds no window (it blocks nothing: all
-			// other jobs keep their own reservations).
-			p.appendResv(j, math.Inf(1), 0, nil, nc)
-			return true
-		}
-		dur := j.RemainingTime()
-		if dt := ctx.Dec(); dt != nil {
-			p.probeAlts(dt, prof, j, dur)
-		}
-		t, placement := prof.earliestStart(j.Components, dur, p.fit)
-		if math.IsInf(t, 1) {
-			p.appendResv(j, t, 0, nil, nc)
-			return true
-		}
-		prof.reserve(j.Components, placement, t, dur)
-		if idx == 0 && t > now {
-			o.HeadMiss(workload.GlobalQueue)
-		}
-		if t == now {
-			if idx > 0 {
-				o.BackfillSuccess()
-			}
-			if p.sawFinite {
-				p.markStale(len(p.resvs), now+dur)
-			}
-			p.start(ctx, j, placement, now, dur)
-			s.Started = append(s.Started, j)
-		} else {
-			p.appendResv(j, t, dur, placement, nc)
-			ctx.Dec().Reserve(now, j, t, placement)
-		}
+		p.evalJob(ctx, m, prof, s, idx, j, now, nc)
 		return true
 	})
 	if truncated {

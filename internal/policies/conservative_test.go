@@ -136,7 +136,7 @@ func TestProfileRandomConsistency(t *testing.T) {
 
 func TestConservativeBackfillsWithoutDelayingAnyReservation(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	p.Submit(ctx, svcJob(1, 100, 20)) // runs; 12 idle
 	p.Submit(ctx, svcJob(2, 50, 32))  // reserved at t=100
 	p.Submit(ctx, svcJob(3, 10, 30))  // reserved at t=150 (after job 2)
@@ -166,9 +166,9 @@ func TestConservativeStricterThanEASY(t *testing.T) {
 	// EASY protects only the head and backfills job4; conservative
 	// backfilling protects job3's reservation and refuses.
 	easyCtx := newMockCtx(32)
-	easy := NewSCEASY()
+	easy := NewEASY(cluster.WorstFit)
 	consCtx := newMockCtx(32)
-	cons := NewSCConservative(DefaultLookahead)
+	cons := NewConservative(cluster.WorstFit, DefaultLookahead)
 	jobs := [][2]float64{ // {service, size}
 		{100, 24},
 		{10, 16},
@@ -185,7 +185,7 @@ func TestConservativeStricterThanEASY(t *testing.T) {
 
 func TestConservativeFCFSWhenNothingBackfills(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	j1 := svcJob(1, 10, 32)
 	p.Submit(ctx, j1)
 	p.Submit(ctx, svcJob(2, 10, 32))
@@ -197,7 +197,7 @@ func TestConservativeFCFSWhenNothingBackfills(t *testing.T) {
 
 func TestConservativeImpossibleJobDoesNotBlockOthers(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	// An impossible job (33 procs) holds no reservation; unlike FCFS
 	// and EASY, conservative backfilling schedules around it.
 	p.Submit(ctx, svcJob(1, 10, 33))
@@ -215,14 +215,11 @@ func TestConservativeMulticluster(t *testing.T) {
 	p.Submit(ctx, svcJob(2, 10, 32, 32, 32, 32)) // whole system, t=125
 	p.Submit(ctx, svcJob(3, 10, 16))             // backfills now
 	wantIDs(t, ctx.ids(), 1, 3)
-	if p.Name() != "GS-CONS" {
-		t.Error("name")
-	}
 }
 
 func TestConservativeQueuedAt(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	p.Submit(ctx, svcJob(1, 10, 32))
 	p.Submit(ctx, svcJob(2, 10, 32))
 	if p.QueuedAt(-1) != 1 || p.QueuedAt(0) != 0 {

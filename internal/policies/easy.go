@@ -25,7 +25,6 @@ import (
 // making real backfilling somewhat less effective. This implementation is
 // therefore an upper bound on EASY's benefit (see DESIGN.md section 6).
 type EASY struct {
-	name    string
 	q       queues.FIFO
 	fit     cluster.Fit
 	running []runInfo // kept sorted by ascending finish time
@@ -58,14 +57,9 @@ type runInfo struct {
 	placement []int
 }
 
-// NewEASY returns the EASY-backfilling global scheduler.
-func NewEASY(fit cluster.Fit) *EASY { return &EASY{name: "GS-EASY", fit: fit} }
-
-// NewSCEASY returns the single-cluster FCFS + EASY reference policy.
-func NewSCEASY() *EASY { return &EASY{name: "SC-EASY", fit: cluster.WorstFit} }
-
-// Name returns "GS-EASY" or "SC-EASY".
-func (p *EASY) Name() string { return p.name }
+// NewEASY returns the EASY-backfilling global scheduler. On a one-cluster
+// system it is the SC-EASY reference.
+func NewEASY(fit cluster.Fit) *EASY { return &EASY{fit: fit} }
 
 // Submit enqueues the job at the global queue and runs a scheduling pass.
 func (p *EASY) Submit(ctx Ctx, j *workload.Job) {
@@ -95,7 +89,7 @@ func (p *EASY) JobDeparted(ctx Ctx, j *workload.Job) {
 }
 
 // JobKilled removes the aborted victim from the running set and runs a
-// full pass over the released processors (policies.FaultAware). The kill
+// full pass over the released processors (Policy). The kill
 // shrank cluster c's capacity by one, which keeps a stuck watermark valid
 // — the head fits even less than before — but the reservation arithmetic
 // holds no state beyond the running set, so removal plus a pass is the
@@ -111,14 +105,14 @@ func (p *EASY) JobKilled(ctx Ctx, victim *workload.Job, _ int) {
 	panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
 }
 
-// CapacityLost is a no-op (policies.FaultAware): EASY derives every
+// CapacityLost is a no-op (Policy): EASY derives every
 // reservation from the live idle vector and the running set, so a silent
 // failure needs no state repair, and the shrink can admit nothing —
 // placement is monotone in the idle vector. A stuck watermark stays valid
 // for the same reason.
 func (p *EASY) CapacityLost(Ctx, int) {}
 
-// CapacityRestored runs a full pass (policies.FaultAware): the repaired
+// CapacityRestored runs a full pass (Policy): the repaired
 // processor may admit the head or a backfill candidate, and — unlike every
 // other event — it raises the up capacity, so the pass re-derives the
 // stuck watermark from scratch.

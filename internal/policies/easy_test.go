@@ -18,15 +18,9 @@ func svcJob(id int64, svc float64, comps ...int) *workload.Job {
 	return j
 }
 
-func TestEASYNames(t *testing.T) {
-	if NewEASY(cluster.WorstFit).Name() != "GS-EASY" || NewSCEASY().Name() != "SC-EASY" {
-		t.Error("EASY policy names")
-	}
-}
-
 func TestEASYBackfillsShortJob(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	// Job 1 occupies 20 of 32 processors until t=100.
 	p.Submit(ctx, svcJob(1, 100, 20))
 	// Job 2 needs the whole machine: blocked, reservation at t=100.
@@ -46,7 +40,7 @@ func TestEASYBackfillsShortJob(t *testing.T) {
 
 func TestEASYHeadStartsAtReservation(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	j1 := svcJob(1, 100, 20)
 	p.Submit(ctx, j1)
 	p.Submit(ctx, svcJob(2, 50, 32))
@@ -62,7 +56,7 @@ func TestEASYHeadStartsAtReservation(t *testing.T) {
 
 func TestEASYBackfillsDeepInQueue(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	p.Submit(ctx, svcJob(1, 100, 30)) // 2 idle
 	p.Submit(ctx, svcJob(2, 10, 32))  // head, reservation t=100
 	p.Submit(ctx, svcJob(3, 10, 20))  // does not fit now
@@ -75,7 +69,7 @@ func TestEASYBackfillsDeepInQueue(t *testing.T) {
 
 func TestEASYPreservesFCFSOrderOfRemainder(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	j1 := svcJob(1, 100, 30)
 	p.Submit(ctx, j1)
 	p.Submit(ctx, svcJob(2, 10, 32)) // head
@@ -117,7 +111,7 @@ func TestEASYMulticlusterBackfill(t *testing.T) {
 
 func TestEASYBehavesLikeFCFSWhenNothingFits(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	big := svcJob(1, 10, 32)
 	p.Submit(ctx, big)
 	p.Submit(ctx, svcJob(2, 10, 32))
@@ -129,7 +123,7 @@ func TestEASYBehavesLikeFCFSWhenNothingFits(t *testing.T) {
 
 func TestEASYImpossibleHeadBlocksLikeFCFS(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	// A 33-processor job can never run on a 32-processor cluster; EASY
 	// keeps FCFS semantics and does NOT backfill past an impossible
 	// head (the pathological case is reported by the replay driver).
@@ -143,7 +137,7 @@ func TestEASYImpossibleHeadBlocksLikeFCFS(t *testing.T) {
 
 func TestEASYQueuedAt(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	p.Submit(ctx, svcJob(1, 10, 32))
 	p.Submit(ctx, svcJob(2, 10, 32))
 	if p.QueuedAt(workload.GlobalQueue) != 1 || p.QueuedAt(0) != 0 {
@@ -153,7 +147,7 @@ func TestEASYQueuedAt(t *testing.T) {
 
 func TestEASYRunningSetBookkeeping(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	j1 := svcJob(1, 100, 16)
 	j2 := svcJob(2, 100, 16)
 	p.Submit(ctx, j1)

@@ -33,7 +33,7 @@ func consStream(t *testing.T, seed uint64, lookahead int) (string, string) {
 	ctx.obs = obs.New(nil)
 	var p *Conservative
 	if nc == 1 {
-		p = NewSCConservative(lookahead)
+		p = NewConservative(cluster.WorstFit, lookahead)
 	} else {
 		p = NewConservative([]cluster.Fit{cluster.WorstFit, cluster.BestFit, cluster.FirstFit}[r.Intn(3)], lookahead)
 	}

@@ -13,7 +13,7 @@ import (
 // TestProfileRepairDifferential is the fault-path counterpart of
 // TestIncrementalProfileMatchesRebuilt: it drives a Conservative policy
 // through random streams that interleave arrivals, departures, and the
-// three FaultAware events — silent capacity loss, a kill that aborts a
+// three fault hooks of Policy — silent capacity loss, a kill that aborts a
 // running job, and a repair — and checks after every event that the
 // incrementally repaired pass profile is identical to one rebuilt from
 // scratch out of the multicluster state and the running set. The fault
@@ -42,7 +42,7 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 	ctx := newMockCtx(sizes...)
 	var p *Conservative
 	if nc == 1 {
-		p = NewSCConservative(DefaultLookahead)
+		p = NewConservative(cluster.WorstFit, DefaultLookahead)
 	} else {
 		p = NewConservative([]cluster.Fit{cluster.WorstFit, cluster.BestFit, cluster.FirstFit}[r.Intn(3)], DefaultLookahead)
 	}
@@ -191,7 +191,7 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 func TestConservativeJobKilledRepairsProfile(t *testing.T) {
 	defer SetPassElision(SetPassElision(false))
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	j1 := svcJob(1, 100, 20)
 	j2 := svcJob(2, 100, 12)
 	p.Submit(ctx, j1)
@@ -231,7 +231,7 @@ func TestConservativeJobKilledRepairsProfile(t *testing.T) {
 func TestConservativeCapacityRoundTrip(t *testing.T) {
 	defer SetPassElision(SetPassElision(false))
 	ctx := newMockCtx(32)
-	p := NewSCConservative(DefaultLookahead)
+	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	p.Submit(ctx, svcJob(1, 100, 24)) // runs until t=100; 8 idle
 
 	checkProfile := func(stage string) {
@@ -278,7 +278,7 @@ func TestConservativeCapacityRoundTrip(t *testing.T) {
 // the capacity the abort released (minus the failed processor).
 func TestEASYJobKilledReleasesVictim(t *testing.T) {
 	ctx := newMockCtx(32)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	j1 := svcJob(1, 100, 20)
 	j2 := svcJob(2, 100, 12)
 	p.Submit(ctx, j1)
@@ -307,7 +307,7 @@ func TestEASYJobKilledReleasesVictim(t *testing.T) {
 func TestEASYStuckHeadUnsticksOnRepair(t *testing.T) {
 	defer SetPassElision(SetPassElision(true))
 	ctx := newMockCtx(8)
-	p := NewSCEASY()
+	p := NewEASY(cluster.WorstFit)
 	ctx.m.Fail(0)
 	p.CapacityLost(ctx, 0) // capacity 7
 

@@ -13,9 +13,8 @@ import (
 // fit (with a single queue, "disable until the next departure" and
 // "stop the pass" coincide).
 type GS struct {
-	name string
-	q    queues.FIFO
-	fit  cluster.Fit
+	q   queues.FIFO
+	fit cluster.Fit
 	// blocked is the pass-elision watermark: the last pass ended on a
 	// head miss. Until capacity changes — and every departure, repair and
 	// kill runs a full pass that recomputes it — the same head fails the
@@ -24,16 +23,9 @@ type GS struct {
 }
 
 // NewGS returns the GS policy with the given placement rule (the paper
-// uses cluster.WorstFit).
-func NewGS(fit cluster.Fit) *GS { return &GS{name: "GS", fit: fit} }
-
-// NewSC returns the single-cluster FCFS reference policy. SC is GS run on
-// a one-cluster system scheduling total requests; only the reported name
-// differs.
-func NewSC() *GS { return &GS{name: "SC", fit: cluster.WorstFit} }
-
-// Name returns "GS" or "SC".
-func (p *GS) Name() string { return p.name }
+// uses cluster.WorstFit). SC is the same policy run on a one-cluster
+// system scheduling total requests.
+func NewGS(fit cluster.Fit) *GS { return &GS{fit: fit} }
 
 // Submit enqueues the job at the global queue and runs a scheduling pass,
 // skipping it (with the head miss the unchanged head would re-emit
@@ -56,15 +48,15 @@ func (p *GS) JobDeparted(ctx Ctx, _ *workload.Job) { p.pass(ctx) }
 
 // CapacityLost is a no-op: GS keeps no capacity forecast, and an idle
 // processor going down can never admit the head — placement is monotone in
-// the idle vector (policies.FaultAware).
+// the idle vector (Policy).
 func (p *GS) CapacityLost(Ctx, int) {}
 
 // CapacityRestored runs a scheduling pass: a repaired processor may admit
-// the head, exactly like a departure (policies.FaultAware).
+// the head, exactly like a departure (Policy).
 func (p *GS) CapacityRestored(ctx Ctx, _ int) { p.pass(ctx) }
 
 // JobKilled runs a scheduling pass over the processors the aborted victim
-// released (policies.FaultAware).
+// released (Policy).
 func (p *GS) JobKilled(ctx Ctx, _ *workload.Job, _ int) { p.pass(ctx) }
 
 // pass starts jobs from the head of the queue while they fit.

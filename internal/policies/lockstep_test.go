@@ -28,7 +28,7 @@ func TestConservativeLockstepAudit(t *testing.T) {
 }
 
 // TestConservativeLockstepAuditFaults reruns the lockstep audit with the
-// three FaultAware events mixed into the stream, applied identically to
+// three fault hooks of Policy mixed into the stream, applied identically to
 // both policies: every fault invalidates the retained state and forces a
 // full pass, and the audit verifies the re-derived reservations whenever
 // the elided side publishes them again.
@@ -54,7 +54,7 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 	fit := []cluster.Fit{cluster.WorstFit, cluster.BestFit, cluster.FirstFit}[r.Intn(3)]
 	var pA, pB *Conservative
 	if nc == 1 {
-		pA, pB = NewSCConservative(lookahead), NewSCConservative(lookahead)
+		pA, pB = NewConservative(cluster.WorstFit, lookahead), NewConservative(cluster.WorstFit, lookahead)
 	} else {
 		pA, pB = NewConservative(fit, lookahead), NewConservative(fit, lookahead)
 	}

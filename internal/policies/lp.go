@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"coalloc/internal/cluster"
-	"coalloc/internal/obs"
 	"coalloc/internal/queues"
 	"coalloc/internal/workload"
 )
@@ -41,14 +40,6 @@ func NewLP(clusters int, fit cluster.Fit) *LP {
 	}
 }
 
-// Name returns "LP".
-func (p *LP) Name() string { return "LP" }
-
-// SetObserver wires the run observer into the local-queue enable/disable
-// bookkeeping (policies.ObserverSetter). Global-queue transitions are
-// reported from the pass itself.
-func (p *LP) SetObserver(o *obs.Observer) { p.set.SetObserver(o) }
-
 // Submit routes multi-component jobs to the global queue and
 // single-component jobs to their local queue, then runs a scheduling pass.
 func (p *LP) Submit(ctx Ctx, j *workload.Job) {
@@ -83,23 +74,29 @@ func (p *LP) Submit(ctx Ctx, j *workload.Job) {
 // JobDeparted re-enables the queues (global first, per the paper) and runs
 // a pass.
 func (p *LP) JobDeparted(ctx Ctx, _ *workload.Job) {
-	if !p.globalEnabled {
-		ctx.Obs().QueueEnabled(workload.GlobalQueue)
+	re := p.set.EnableAll()
+	if o := ctx.Obs(); o.Enabled() {
+		now := ctx.Now()
+		if !p.globalEnabled {
+			o.QueueEnabled(now, workload.GlobalQueue)
+		}
+		for _, q := range re {
+			o.QueueEnabled(now, q)
+		}
 	}
 	p.globalEnabled = true
-	p.set.EnableAll()
 	p.pass(ctx)
 }
 
 // CapacityLost is a no-op: LP keeps no capacity forecast, and shrinking
-// the idle pool admits nothing (policies.FaultAware).
+// the idle pool admits nothing (Policy).
 func (p *LP) CapacityLost(Ctx, int) {}
 
 // CapacityRestored re-enables the queues global-first, the same ordering
-// contract as a departure (policies.FaultAware).
+// contract as a departure (Policy).
 func (p *LP) CapacityRestored(ctx Ctx, _ int) { p.JobDeparted(ctx, nil) }
 
-// JobKilled reacts to an aborted job like a departure (policies.FaultAware).
+// JobKilled reacts to an aborted job like a departure (Policy).
 func (p *LP) JobKilled(ctx Ctx, _ *workload.Job, _ int) { p.JobDeparted(ctx, nil) }
 
 // anyLocalEmpty reports whether some local queue is empty — the paper's
@@ -135,7 +132,7 @@ func (p *LP) pass(ctx Ctx) {
 					p.globalEnabled = false
 					o.HeadMiss(workload.GlobalQueue)
 					ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
-					o.QueueDisabled(workload.GlobalQueue)
+					o.QueueDisabled(ctx.Now(), workload.GlobalQueue)
 				}
 			}
 		}
@@ -153,7 +150,9 @@ func (p *LP) pass(ctx Ctx) {
 			} else {
 				o.HeadMiss(q)
 				ctx.Dec().LocalMiss(ctx.Now(), head, m, q)
-				p.set.Disable(q)
+				if p.set.Disable(q) && o.Enabled() {
+					o.QueueDisabled(ctx.Now(), q)
+				}
 			}
 		}
 		if !progress {

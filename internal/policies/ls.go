@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"coalloc/internal/cluster"
-	"coalloc/internal/obs"
 	"coalloc/internal/queues"
 	"coalloc/internal/workload"
 )
@@ -49,13 +48,6 @@ func NewLSSortedReenable(clusters int, fit cluster.Fit) *LS {
 	return p
 }
 
-// Name returns "LS".
-func (p *LS) Name() string { return "LS" }
-
-// SetObserver wires the run observer into the enable/disable bookkeeping
-// (policies.ObserverSetter).
-func (p *LS) SetObserver(o *obs.Observer) { p.set.SetObserver(o) }
-
 // Submit enqueues the job at its local queue and runs a scheduling pass.
 // The job's Queue field must name a valid local queue.
 func (p *LS) Submit(ctx Ctx, j *workload.Job) {
@@ -80,25 +72,32 @@ func (p *LS) Submit(ctx Ctx, j *workload.Job) {
 // JobDeparted re-enables all queues in disable order (or fixed index
 // order for the ablation variant) and runs a pass.
 func (p *LS) JobDeparted(ctx Ctx, _ *workload.Job) {
+	var re []int
 	if p.sortedOrder {
-		p.set.EnableAllSorted()
+		re = p.set.EnableAllSorted()
 	} else {
-		p.set.EnableAll()
+		re = p.set.EnableAll()
+	}
+	if o := ctx.Obs(); o.Enabled() {
+		now := ctx.Now()
+		for _, q := range re {
+			o.QueueEnabled(now, q)
+		}
 	}
 	p.pass(ctx)
 }
 
 // CapacityLost is a no-op: LS keeps no capacity forecast, and shrinking
-// the idle pool can only keep disabled heads disabled (policies.FaultAware).
+// the idle pool can only keep disabled heads disabled (Policy).
 func (p *LS) CapacityLost(Ctx, int) {}
 
 // CapacityRestored re-enables the queues under the same ordering contract
 // as a departure — a repaired processor frees capacity exactly like one —
-// and runs a pass (policies.FaultAware).
+// and runs a pass (Policy).
 func (p *LS) CapacityRestored(ctx Ctx, _ int) { p.JobDeparted(ctx, nil) }
 
 // JobKilled reacts to an aborted job like a departure: its released
-// processors may admit disabled queue heads (policies.FaultAware).
+// processors may admit disabled queue heads (Policy).
 func (p *LS) JobKilled(ctx Ctx, _ *workload.Job, _ int) { p.JobDeparted(ctx, nil) }
 
 // pass repeatedly visits the enabled queues, starting at most one job per
@@ -127,7 +126,9 @@ func (p *LS) pass(ctx Ctx) {
 						dt.LocalMiss(ctx.Now(), head, m, q)
 					}
 				}
-				p.set.Disable(q)
+				if p.set.Disable(q) && o.Enabled() {
+					o.QueueDisabled(ctx.Now(), q)
+				}
 				continue
 			}
 			p.qs[q].Pop()

@@ -136,15 +136,9 @@ func TestGSSetsGlobalQueueTag(t *testing.T) {
 	}
 }
 
-func TestSCName(t *testing.T) {
-	if NewSC().Name() != "SC" || NewGS(cluster.WorstFit).Name() != "GS" {
-		t.Error("policy names")
-	}
-}
-
 func TestSCOnSingleCluster(t *testing.T) {
 	ctx := newMockCtx(128)
-	p := NewSC()
+	p := NewGS(cluster.WorstFit)
 	big := mj(1, 0, 128)
 	p.Submit(ctx, big)
 	p.Submit(ctx, mj(2, 0, 1))
@@ -440,10 +434,4 @@ func TestNewLPPanics(t *testing.T) {
 		}
 	}()
 	NewLP(-1, cluster.WorstFit)
-}
-
-func TestPolicyNames(t *testing.T) {
-	if NewLS(4, cluster.WorstFit).Name() != "LS" || NewLP(4, cluster.WorstFit).Name() != "LP" {
-		t.Error("policy names")
-	}
 }

@@ -2,11 +2,16 @@
 // evaluates: GS (one global queue), LS (one local queue per cluster, all
 // jobs submitted locally), LP (local queues for single-component jobs with
 // priority over a global queue holding the multi-component jobs), and SC
-// (the single-cluster FCFS reference, which is GS on a one-cluster system).
+// (the single-cluster FCFS reference, which is GS on a one-cluster system;
+// package core builds SC, SC-EASY and SC-CONS from NewGS, NewEASY and
+// NewConservative with Worst Fit).
 //
 // All queues are FCFS. The policies decide when a queue may start its head
 // job and on which clusters; the simulator (package core) owns the clock,
-// performs the allocation, and schedules the departure.
+// performs the allocation, and schedules the departure. Policy is the one
+// contract between the two: the simulator calls it on arrivals,
+// departures and fault events, and a policy reaches the run — processors,
+// clock, observer, decision tracer, scratch — only through Ctx.
 package policies
 
 import (
@@ -31,8 +36,10 @@ type Ctx interface {
 	// backfilling policies read it back for their reservation records.
 	Dispatch(j *workload.Job, placement []int)
 	// Obs returns the run's observer, or nil when observability is off.
-	// Policies report scheduling passes, head-of-queue misses and
-	// backfill decisions into it; all observer methods are nil-safe.
+	// It is the one way observability reaches a policy: passes,
+	// head-of-queue misses, backfill decisions and queue enable/disable
+	// transitions (timestamped with Now) are all reported into it; all
+	// observer methods are nil-safe.
 	Obs() *obs.Observer
 	// Dec returns the run's decision tracer, or nil when decision
 	// tracing is off. Policies report the counterfactual side of their
@@ -77,24 +84,19 @@ func NewScratch(clusters int) *Scratch {
 	}
 }
 
-// ObserverSetter is implemented by policies with internal state that
-// reports into the observer directly (the enable/disable bookkeeping of
-// LS and LP). The simulator wires the run observer through it after
-// building the policy.
-type ObserverSetter interface {
-	SetObserver(o *obs.Observer)
-}
-
-// FaultAware is implemented by policies that tolerate fault injection
-// (package faults): capacity shrinking under them, running jobs being
-// aborted, and repaired processors returning. The simulator rejects fault
-// configurations for policies without it.
+// Policy is a co-allocation scheduling policy: the one contract between
+// the simulator and a policy. The simulator calls it on the events of a
+// run — an arrival, a departure, and the three fault events of package
+// faults — and the policy answers by starting jobs through Ctx.Dispatch
+// and reporting what it did through Ctx.Obs and Ctx.Dec.
+// Implementations are not safe for concurrent use; a simulation run is
+// single-threaded.
 //
-// All three hooks name the affected cluster, because policies that keep a
-// forecast of future idle capacity (the backfilling profile) must fold the
-// capacity change into it — a failure or repair is neither an arrival nor
-// a departure, so no other event repairs the forecast. Policies without
-// persistent capacity state use the index only for symmetry.
+// The fault hooks name the affected cluster, because policies that keep
+// a forecast of future idle capacity (the backfilling profile) must fold
+// the capacity change into it — a failure or repair is neither an arrival
+// nor a departure, so no other event repairs the forecast. Policies
+// without persistent capacity state use the index only for symmetry.
 //
 // CapacityRestored and JobKilled carry JobDeparted's contract: queues
 // disabled by head misses are re-enabled under the policy's usual ordering
@@ -105,7 +107,16 @@ type ObserverSetter interface {
 // admit a queued job (placement is monotone in the idle vector), so
 // FCFS-family policies no-op it and the backfilling policies only repair
 // their forecast state.
-type FaultAware interface {
+type Policy interface {
+	// Submit enqueues an arriving job and performs a scheduling pass.
+	// For multi-queue policies the job's Queue field selects the local
+	// queue; policies with a global queue overwrite Queue for jobs they
+	// route globally.
+	Submit(ctx Ctx, j *workload.Job)
+	// JobDeparted tells the policy that a job released its processors;
+	// the policy re-enables queues per its rules and performs a
+	// scheduling pass.
+	JobDeparted(ctx Ctx, j *workload.Job)
 	// CapacityLost tells the policy that a failure took one idle
 	// processor of cluster c down without aborting anything.
 	CapacityLost(ctx Ctx, c int)
@@ -118,22 +129,6 @@ type FaultAware interface {
 	// resubmitted here; it re-enters the policy through Submit when its
 	// retry backoff elapses.
 	JobKilled(ctx Ctx, victim *workload.Job, c int)
-}
-
-// Policy is a co-allocation scheduling policy. Implementations are not safe
-// for concurrent use; a simulation run is single-threaded.
-type Policy interface {
-	// Name returns the paper's abbreviation (GS, LS, LP, SC).
-	Name() string
-	// Submit enqueues an arriving job and performs a scheduling pass.
-	// For multi-queue policies the job's Queue field selects the local
-	// queue; policies with a global queue overwrite Queue for jobs they
-	// route globally.
-	Submit(ctx Ctx, j *workload.Job)
-	// JobDeparted tells the policy that a job released its processors;
-	// the policy re-enables queues per its rules and performs a
-	// scheduling pass.
-	JobDeparted(ctx Ctx, j *workload.Job)
 	// Queued returns the total number of waiting jobs.
 	Queued() int
 	// QueuedAt returns the number of waiting jobs in the given queue;

@@ -86,7 +86,7 @@ func TestIncrementalProfileMatchesRebuilt(t *testing.T) {
 		ctx := newMockCtx(sizes...)
 		var p *Conservative
 		if nc == 1 {
-			p = NewSCConservative(DefaultLookahead)
+			p = NewConservative(cluster.WorstFit, DefaultLookahead)
 		} else {
 			p = NewConservative([]cluster.Fit{cluster.WorstFit, cluster.BestFit, cluster.FirstFit}[r.Intn(3)], DefaultLookahead)
 		}

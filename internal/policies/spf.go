@@ -32,9 +32,6 @@ type SPF struct {
 // NewSPF returns the shortest-processing-first global scheduler.
 func NewSPF(fit cluster.Fit) *SPF { return &SPF{fit: fit} }
 
-// Name returns "GS-SPF".
-func (p *SPF) Name() string { return "GS-SPF" }
-
 // Submit inserts the job in service-time order and runs a pass. The order
 // key is the remaining time: identical to the extended service time except
 // for checkpointed resubmissions, whose preserved progress makes them
@@ -61,14 +58,14 @@ func (p *SPF) Submit(ctx Ctx, j *workload.Job) {
 func (p *SPF) JobDeparted(ctx Ctx, _ *workload.Job) { p.pass(ctx) }
 
 // CapacityLost is a no-op: SPF keeps no capacity forecast, and shrinking
-// the idle pool admits nothing (policies.FaultAware).
+// the idle pool admits nothing (Policy).
 func (p *SPF) CapacityLost(Ctx, int) {}
 
-// CapacityRestored runs a scheduling pass (policies.FaultAware).
+// CapacityRestored runs a scheduling pass (Policy).
 func (p *SPF) CapacityRestored(ctx Ctx, _ int) { p.pass(ctx) }
 
 // JobKilled runs a scheduling pass; the resubmitted victim re-enters the
-// sorted queue through Submit after its backoff (policies.FaultAware).
+// sorted queue through Submit after its backoff (Policy).
 func (p *SPF) JobKilled(ctx Ctx, _ *workload.Job, _ int) { p.pass(ctx) }
 
 // pass starts the shortest jobs while they fit.

@@ -34,11 +34,8 @@ func TestSPFBlocksOnShortestNonFitting(t *testing.T) {
 	}
 }
 
-func TestSPFName(t *testing.T) {
+func TestSPFQueuedAtEmpty(t *testing.T) {
 	p := NewSPF(cluster.WorstFit)
-	if p.Name() != "GS-SPF" {
-		t.Error("name")
-	}
 	if p.QueuedAt(workload.GlobalQueue) != 0 || p.QueuedAt(0) != 0 {
 		t.Error("QueuedAt on empty policy")
 	}

@@ -3,12 +3,15 @@
 // a queue whose head job does not fit is disabled until the next job
 // departs from the system, and at each departure queues are re-enabled in
 // the order in which they were disabled.
+//
+// The package keeps no observer: Disable and the EnableAll variants report
+// which transitions happened, and the policies report them, timestamped,
+// through their scheduling context.
 package queues
 
 import (
 	"fmt"
 
-	"coalloc/internal/obs"
 	"coalloc/internal/workload"
 )
 
@@ -143,7 +146,6 @@ type EnableSet struct {
 	state      []bool
 	live       int // number of enabled queues
 	n          int
-	obs        *obs.Observer
 }
 
 // NewEnableSet returns an EnableSet over queues 0..n-1, all enabled, with
@@ -171,11 +173,6 @@ func NewEnableSet(n int) *EnableSet {
 	return s
 }
 
-// SetObserver attaches a run observer: every enable/disable transition is
-// then counted and, when tracing, recorded with its virtual time. A nil
-// observer detaches.
-func (s *EnableSet) SetObserver(o *obs.Observer) { s.obs = o }
-
 // Enabled returns the enabled queue ids in visit order. The slice is the
 // set's internal state; callers must not retain it across mutations.
 func (s *EnableSet) Enabled() []int {
@@ -202,13 +199,14 @@ func (s *EnableSet) linkTail(q int) {
 }
 
 // Disable removes queue q from the visit order and records the disable
-// order. Disabling a disabled queue is a no-op.
-func (s *EnableSet) Disable(q int) {
+// order. It reports whether q was enabled: disabling a disabled queue is a
+// no-op and reports false.
+func (s *EnableSet) Disable(q int) bool {
 	if q < 0 || q >= s.n {
 		panic(fmt.Sprintf("queues: Disable(%d) of %d queues", q, s.n))
 	}
 	if !s.state[q] {
-		return
+		return false
 	}
 	s.state[q] = false
 	s.next[s.prev[q]] = s.next[q]
@@ -216,33 +214,35 @@ func (s *EnableSet) Disable(q int) {
 	s.live--
 	s.stale = true
 	s.disabled = append(s.disabled, q)
-	s.obs.QueueDisabled(q)
+	return true
 }
 
 // EnableAll re-enables every disabled queue, appending them to the visit
 // order in the order they were disabled ("at each job departure the queues
-// are enabled in the same order in which they were disabled").
-func (s *EnableSet) EnableAll() {
-	if len(s.disabled) == 0 {
-		return
+// are enabled in the same order in which they were disabled"). It returns
+// the re-enabled queues in disable order; the slice is valid until the
+// next Disable.
+func (s *EnableSet) EnableAll() []int {
+	re := s.disabled
+	if len(re) == 0 {
+		return nil
 	}
-	for _, q := range s.disabled {
+	for _, q := range re {
 		s.state[q] = true
 		s.linkTail(q)
-		s.obs.QueueEnabled(q)
 	}
-	s.live += len(s.disabled)
+	s.live += len(re)
 	s.disabled = s.disabled[:0]
 	s.stale = true
+	return re
 }
 
 // EnableAllSorted re-enables every queue and resets the visit order to
 // 0..n-1, discarding the disable history. This is the ablation alternative
-// to the paper's disable-order rule.
-func (s *EnableSet) EnableAllSorted() {
-	for _, q := range s.disabled {
-		s.obs.QueueEnabled(q)
-	}
+// to the paper's disable-order rule. Like EnableAll, it returns the
+// re-enabled queues in disable order, valid until the next Disable.
+func (s *EnableSet) EnableAllSorted() []int {
+	re := s.disabled
 	s.disabled = s.disabled[:0]
 	for i := 0; i <= s.n; i++ {
 		s.next[i] = (i + 1) % (s.n + 1)
@@ -253,4 +253,5 @@ func (s *EnableSet) EnableAllSorted() {
 	}
 	s.live = s.n
 	s.stale = true
+	return re
 }

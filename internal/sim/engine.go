@@ -22,14 +22,16 @@
 // Simulations that schedule one event per fired event — the open-system
 // arrival/departure loop — therefore run without any per-event heap
 // allocation once the arena has warmed up.
+//
+// The kernel knows nothing of observability. It keeps three lifetime
+// counters (Steps, Scheduled, ArenaSlots), which package core reads once
+// at the end of a run and reports to its observer.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"coalloc/internal/obs"
 )
 
 // Event is a handle to a scheduled event. It is a small value (copy it
@@ -76,7 +78,6 @@ type Engine struct {
 	stopped bool
 	steps   uint64
 	handler func(kind int32, payload any)
-	obs     *obs.Observer
 }
 
 // New returns an Engine with the clock at zero.
@@ -94,18 +95,10 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // cancelled).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
-// SetObserver attaches a run observer. The kernel never calls the
-// observer from its inner loop — observability must not perturb the event
-// hot path — so the observer only receives the engine's lifetime counters
-// when ReportStats is called, normally once at the end of a run.
-func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
-
-// ReportStats dumps the engine's lifetime counters (events executed,
-// events scheduled, arena size) into the attached observer. It is safe to
-// call with no observer attached.
-func (e *Engine) ReportStats() {
-	e.obs.EngineStats(e.steps, e.seq, len(e.slots))
-}
+// ArenaSlots returns the size of the event-slot arena: the largest number
+// of events ever pending at once, since fired and cancelled slots are
+// recycled.
+func (e *Engine) ArenaSlots() int { return len(e.slots) }
 
 // errPastEvent is the cause named when Schedule is asked for a time that
 // precedes the clock.

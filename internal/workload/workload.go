@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"coalloc/internal/dastrace"
 	"coalloc/internal/dist"
@@ -45,8 +46,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: component limit %d must be positive", s.ComponentLimit)
 	case s.Clusters <= 0:
 		return fmt.Errorf("workload: cluster count %d must be positive", s.Clusters)
-	case s.ExtensionFactor < 1:
-		return fmt.Errorf("workload: extension factor %g must be >= 1", s.ExtensionFactor)
+	case !(s.ExtensionFactor >= 1) || math.IsInf(s.ExtensionFactor, 0):
+		return fmt.Errorf("workload: extension factor %g must be >= 1 and finite", s.ExtensionFactor)
 	}
 	return nil
 }

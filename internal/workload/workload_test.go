@@ -295,6 +295,8 @@ func TestSpecValidate(t *testing.T) {
 		{Sizes: d.Sizes128, Service: d.Service, Clusters: 4, ExtensionFactor: 1.25},
 		{Sizes: d.Sizes128, Service: d.Service, ComponentLimit: 16, ExtensionFactor: 1.25},
 		{Sizes: d.Sizes128, Service: d.Service, ComponentLimit: 16, Clusters: 4, ExtensionFactor: 0.5},
+		{Sizes: d.Sizes128, Service: d.Service, ComponentLimit: 16, Clusters: 4, ExtensionFactor: math.NaN()},
+		{Sizes: d.Sizes128, Service: d.Service, ComponentLimit: 16, Clusters: 4, ExtensionFactor: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
