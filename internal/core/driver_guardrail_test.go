@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"coalloc/internal/dastrace"
 	"coalloc/internal/obs"
 	"coalloc/internal/workload"
 )
@@ -31,10 +32,19 @@ func digest(s string) string {
 
 // driverOutputs runs the replay and constant-backlog job sources under
 // every guardrail policy and returns the digest of each output, keyed by
-// name in run order.
+// name in run order. Each policy replays two logs: the float-time DAS log
+// compressed 3x ("replay/"), and its whole-second SWF round trip at load 1
+// ("replay-int/"), where arrivals tie with departures.
 func driverOutputs(t *testing.T) [][2]string {
 	t.Helper()
-	recs := replayRecords(3000)
+	logs := []struct {
+		name string
+		recs []dastrace.Record
+		load float64
+	}{
+		{"replay/", replayRecords(3000), 3},
+		{"replay-int/", intRecords(t, 3000), 1},
+	}
 	var out [][2]string
 	add := func(name, s string) { out = append(out, [2]string{name, digest(s)}) }
 	for _, pol := range driverPolicies {
@@ -42,28 +52,33 @@ func driverOutputs(t *testing.T) [][2]string {
 		if pol == "SC" {
 			clusters, limit = []int{128}, 128
 		}
-		var csv, jsonl bytes.Buffer
-		o := obs.New(&jsonl)
-		res, err := Replay(ReplayConfig{
-			ClusterSizes:    clusters,
-			Records:         recs,
-			Policy:          pol,
-			ComponentLimit:  limit,
-			ExtensionFactor: workload.DefaultExtensionFactor,
-			LoadFactor:      3,
-			Seed:            1,
-			ScheduleWriter:  &csv,
-			Observer:        o,
-		})
-		if err != nil {
-			t.Fatalf("replay %s: %v", pol, err)
+		for _, lg := range logs {
+			var csv, jsonl bytes.Buffer
+			o := obs.New(&jsonl)
+			res, err := Replay(ReplayConfig{
+				ClusterSizes:    clusters,
+				Records:         lg.recs,
+				Policy:          pol,
+				ComponentLimit:  limit,
+				ExtensionFactor: workload.DefaultExtensionFactor,
+				LoadFactor:      lg.load,
+				Seed:            1,
+				ScheduleWriter:  &csv,
+				Observer:        o,
+			})
+			if err != nil {
+				t.Fatalf("%s%s: %v", lg.name, pol, err)
+			}
+			if err := o.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if lg.load == 1 && tieInstants(jsonl.String()) == 0 {
+				t.Fatalf("%s%s: no arrival ties with a departure", lg.name, pol)
+			}
+			add(lg.name+pol, fmt.Sprintf("%v", res))
+			add(lg.name+pol+".csv", csv.String())
+			add(lg.name+pol+".jsonl", jsonl.String())
 		}
-		if err := o.Close(); err != nil {
-			t.Fatal(err)
-		}
-		add("replay/"+pol, fmt.Sprintf("%v", res))
-		add("replay/"+pol+".csv", csv.String())
-		add("replay/"+pol+".jsonl", jsonl.String())
 
 		bres, err := RunBacklog(BacklogConfig{
 			ClusterSizes: clusters,
@@ -93,7 +108,7 @@ func driverOutputs(t *testing.T) [][2]string {
 // only for an intended output change.
 func TestDriverOutputsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays 18k jobs and runs six constant-backlog simulations")
+		t.Skip("replays 36k jobs and runs six constant-backlog simulations")
 	}
 	got := driverOutputs(t)
 	if *updateDigests {
