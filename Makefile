@@ -57,13 +57,18 @@ bench-smoke:
 # stdout with the -metrics block, plus its -trace JSONL, for LS, LS-sorted
 # -unbalanced, LP -unbalanced -decisions, LS under failures with
 # -decisions, GS-CONS with failures, checkpoints and -decisions, SC -reps
-# 3, SC-EASY and SC-CONS; one -backlog run; and one -replay run with its
-# -schedule CSV. A refactor that must not change outputs runs it on the
-# parent tree and on the change and compares them with `diff -r`.
+# 3, SC-EASY and SC-CONS; one -backlog run; and two -replay runs with
+# their -schedule CSVs: the synthetic DAS log, and ties.swf, the first
+# 5000 records of the `mctrace gen` log with run times rounded up to
+# whole seconds, replayed at load 1. In that log some arrivals fall on
+# the instant a job departs, so its run covers the replay tie rule (an
+# arrival is submitted before a departure at the same instant). A
+# refactor that must not change outputs runs it on the parent tree and
+# on the change and compares them with `diff -r`.
 outputs:
 	@if [ -z "$(OUT)" ]; then echo "usage: make outputs OUT=DIR"; exit 2; fi
 	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	$(GO) build -o "$$bin/" ./cmd/mcsim ./cmd/mcexp; \
+	$(GO) build -o "$$bin/" ./cmd/mcsim ./cmd/mcexp ./cmd/mctrace; \
 	mkdir -p "$(OUT)/mcexp"; \
 	"$$bin/mcexp" -quick -data "$(OUT)/mcexp" all > "$(OUT)/mcexp.txt"; \
 	sim() { name=$$1; shift; \
@@ -79,4 +84,9 @@ outputs:
 	"$$bin/mcsim" -policy GS -limit 24 -backlog > "$(OUT)/backlog.txt"; \
 	"$$bin/mcsim" -replay -policy GS-CONS -jobs 5000 -metrics -trace "$(OUT)/replay.jsonl" \
 		-schedule "$(OUT)/replay-schedule.csv" > "$(OUT)/replay.txt"; \
+	"$$bin/mctrace" gen -o "$$bin/das.swf"; \
+	awk '/^;/ { next } n++ < 5000 { v = int($$4); if (v < $$4) v++; $$4 = v; print }' \
+		"$$bin/das.swf" > "$(OUT)/ties.swf"; \
+	"$$bin/mcsim" -replay -policy GS-CONS -load 1 -metrics -trace "$(OUT)/replay-ties.jsonl" \
+		-schedule "$(OUT)/replay-ties-schedule.csv" "$(OUT)/ties.swf" > "$(OUT)/replay-ties.txt"; \
 	echo "outputs written to $(OUT)"

@@ -204,6 +204,10 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-replay", "-ext", "0.5"}, "-ext"},
 			{"mcsim", []string{"-mtbf", "-5"}, "-mtbf"},
 			{"mcsim", []string{"-mtbf", "NaN"}, "-mtbf"},
+			{"mcsim", []string{"-mttr", "Inf"}, "-mttr"},
+			{"mcsim", []string{"-mttr", "NaN"}, "-mttr"},
+			{"mcsim", []string{"-mtbf", "2000", "-checkpoint-interval", "Inf"}, "-checkpoint-interval"},
+			{"mcexp", []string{"-quick", "-mtbf", "Inf", "checkpoint"}, "-mtbf"},
 			{"mcsim", []string{"-replay", "-jobs", "-5"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-jobs", "0"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-load", "0"}, "-load"},

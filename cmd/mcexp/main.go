@@ -82,19 +82,7 @@ func main() {
 		params.MeasureJobs = *measure
 	}
 	params.DataDir = *dataDir
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{
-		{"-mttr", *mttr},
-		{"-mtbf", *mtbf},
-		{"-checkpoint-interval", *ckptInterval},
-	} {
-		if f.value < 0 || f.value != f.value {
-			fmt.Fprintf(os.Stderr, "mcexp: %s %g must be non-negative\n", f.name, f.value)
-			os.Exit(2)
-		}
-	}
+	cliutil.CheckFaultFlags("mcexp", *mtbf, *mttr, *ckptInterval)
 	cliutil.CheckRetryWindow("mcexp", *retryBase, *retryCap)
 	params.FaultMTTR = *mttr
 	params.FaultMTBF = *mtbf

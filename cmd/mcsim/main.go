@@ -92,17 +92,14 @@ func main() {
 
 	// The arrival rate is derived from -util and -ext, and the split from
 	// -limit, before any library validation runs, so reject bad values
-	// here. A negative or NaN -mtbf would otherwise silently mean no
-	// failures.
+	// here.
 	if !(*util > 0) || math.IsInf(*util, 0) {
 		cliutil.Failf("mcsim", "-util %g must be a positive finite number", *util)
 	}
 	if !(*ext >= 1) || math.IsInf(*ext, 0) {
 		cliutil.Failf("mcsim", "-ext %g must be a finite number >= 1", *ext)
 	}
-	if !(*mtbf >= 0) || math.IsInf(*mtbf, 0) {
-		cliutil.Failf("mcsim", "-mtbf %g must be a non-negative finite number (0 = no failures)", *mtbf)
-	}
+	cliutil.CheckFaultFlags("mcsim", *mtbf, *mttr, *ckptInterval)
 	for _, f := range []struct {
 		name  string
 		value int

@@ -160,17 +160,35 @@ func CheckDecisions(prog string, on, applies bool, scope string) {
 // cap — before a sweep spends minutes to die on the same error inside
 // the first run.
 func CheckRetryWindow(prog string, base, cap float64) {
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{{"-retry-base", base}, {"-retry-cap", cap}} {
-		if f.value < 0 || math.IsNaN(f.value) || math.IsInf(f.value, 0) {
-			Failf(prog, "%s %g must be non-negative and finite", f.name, f.value)
-		}
-	}
+	checkNonNegative(prog, flagValue{"-retry-base", base}, flagValue{"-retry-cap", cap})
 	s := faults.Spec{RetryBase: base, RetryCap: cap}.Normalized()
 	if s.RetryCap < s.RetryBase {
 		Failf(prog, "retry window [%g s, %g s] is empty: the cap must be at least the base (0 means the %g s default)",
 			s.RetryBase, s.RetryCap, 600.0)
+	}
+}
+
+// CheckFaultFlags validates the fault-model flags -mtbf, -mttr and
+// -checkpoint-interval: each must be non-negative and finite. A NaN or
+// negative -mtbf would otherwise silently mean no failures, and an
+// infinite value would only fail inside the first run, with status 1.
+func CheckFaultFlags(prog string, mtbf, mttr, ckptInterval float64) {
+	checkNonNegative(prog, flagValue{"-mtbf", mtbf}, flagValue{"-mttr", mttr},
+		flagValue{"-checkpoint-interval", ckptInterval})
+}
+
+// flagValue is a float flag's name and value.
+type flagValue struct {
+	name  string
+	value float64
+}
+
+// checkNonNegative exits with status 2, naming the flag, at the first
+// value that is negative, NaN or infinite.
+func checkNonNegative(prog string, flags ...flagValue) {
+	for _, f := range flags {
+		if f.value < 0 || math.IsNaN(f.value) || math.IsInf(f.value, 0) {
+			Failf(prog, "%s %g must be non-negative and finite", f.name, f.value)
+		}
 	}
 }

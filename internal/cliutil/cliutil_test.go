@@ -106,6 +106,33 @@ func TestCheckRetryWindow(t *testing.T) {
 	}
 }
 
+func TestCheckFaultFlags(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		mtbf, mttr, ckpt float64
+		want             int
+	}{
+		{0, 900, 0, -1},
+		{2000, 900, 300, -1},
+		{-1, 900, 0, 2},
+		{nan, 900, 0, 2},
+		{inf, 900, 0, 2},
+		{2000, inf, 0, 2},
+		{2000, nan, 0, 2},
+		{2000, -5, 0, 2},
+		{2000, 900, inf, 2},
+		{2000, 900, -1, 2},
+	}
+	for _, c := range cases {
+		got := captureExit(t, func() {
+			CheckFaultFlags("test", c.mtbf, c.mttr, c.ckpt)
+		})
+		if got != c.want {
+			t.Errorf("CheckFaultFlags(%g, %g, %g) exit %d, want %d", c.mtbf, c.mttr, c.ckpt, got, c.want)
+		}
+	}
+}
+
 func TestClusters(t *testing.T) {
 	cases := []struct {
 		v, policy string

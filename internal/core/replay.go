@@ -25,9 +25,11 @@ type ReplayConfig struct {
 	// ClusterSizes gives the processors per cluster.
 	ClusterSizes []int
 	// Records is the job log, in any order; it is replayed by submit
-	// time. A record with a non-positive size, a size exceeding the total
-	// capacity, a negative or non-finite submit time, or a non-positive
-	// or non-finite service time is rejected with an error naming its ID.
+	// time. Replay reads the slice in place, so it must not change while
+	// the run is in progress. A record with a non-positive size, a size
+	// exceeding the total capacity, a negative or non-finite submit time,
+	// or a non-positive or non-finite service time is rejected with an
+	// error naming its ID.
 	Records []dastrace.Record
 	// Policy is one of PolicyNames (as in Config.Policy).
 	Policy string
@@ -111,6 +113,9 @@ func (c *ReplayConfig) validate() (policies.Policy, error) {
 	if !(load > 0) || math.IsInf(load, 0) {
 		return nil, fmt.Errorf("core: replay load factor %g must be positive and finite", c.LoadFactor)
 	}
+	if len(c.Records) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: replay of %d records; at most %d", len(c.Records), math.MaxInt32)
+	}
 	capacity := 0
 	for _, n := range c.ClusterSizes {
 		capacity += n
@@ -133,43 +138,99 @@ func (c *ReplayConfig) system() system {
 	return system{c.ClusterSizes, c.Policy, c.Fit, c.Lookahead, c.QueueWeights}
 }
 
+// replayFeed submits a replay's records in submit order. It keeps one
+// arrival event pending, at the next record's arrival time, and builds
+// each record's job only when the record is due, so a run holds the jobs
+// in the system, not the whole log.
+type replayFeed struct {
+	recs []dastrace.Record // ReplayConfig.Records, read in place
+	// order lists record indices in submit order, stable on ties; nil
+	// when recs is already in order.
+	order    []int32
+	next     int // position in submit order of the next record to submit
+	load     float64
+	limit    int
+	clusters int
+	ext      float64
+}
+
+// newReplayFeed indexes cfg's records in submit order.
+func newReplayFeed(cfg *ReplayConfig) *replayFeed {
+	recs := cfg.Records
+	f := &replayFeed{
+		recs:     recs,
+		load:     cfg.loadFactor(),
+		limit:    cfg.ComponentLimit,
+		clusters: len(cfg.ClusterSizes),
+		ext:      cfg.ExtensionFactor,
+	}
+	if !sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit }) {
+		f.order = make([]int32, len(recs))
+		for i := range f.order {
+			f.order[i] = int32(i)
+		}
+		sort.SliceStable(f.order, func(a, b int) bool { return recs[f.order[a]].Submit < recs[f.order[b]].Submit })
+	}
+	return f
+}
+
+// record returns the k-th record in submit order.
+func (f *replayFeed) record(k int) *dastrace.Record {
+	if f.order != nil {
+		k = int(f.order[k])
+	}
+	return &f.recs[k]
+}
+
+// nextAt returns the arrival time of the next record to submit; ok is
+// false once every record has been submitted.
+func (f *replayFeed) nextAt() (t float64, ok bool) {
+	if f.next == len(f.recs) {
+		return 0, false
+	}
+	return f.record(f.next).Submit / f.load, true
+}
+
+// due returns the next record's job if the record arrives at or before
+// now, or nil. Each job is heap-allocated, so the collector reclaims it
+// once it departs; the run's arena would hold every job until the end.
+func (f *replayFeed) due(now float64) *workload.Job {
+	if t, ok := f.nextAt(); !ok || t > now {
+		return nil
+	}
+	r := f.record(f.next)
+	f.next++
+	j := &workload.Job{
+		ID:          int64(r.ID),
+		TotalSize:   r.Size,
+		Components:  workload.Split(r.Size, f.limit, f.clusters),
+		ServiceTime: r.Service,
+	}
+	j.ExtendedServiceTime = j.ServiceTime
+	if j.Multi() {
+		j.ExtendedServiceTime *= f.ext
+	}
+	return j
+}
+
 // Replay runs a trace through a policy and returns its metrics.
 func Replay(cfg ReplayConfig) (ReplayResult, error) {
 	pol, err := cfg.validate()
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	load := cfg.loadFactor()
-	recs := make([]dastrace.Record, len(cfg.Records))
-	copy(recs, cfg.Records)
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit })
 
 	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "replay", noCount)
 	s.src = replaySource
+	s.feed = newReplayFeed(&cfg)
 	s.observe(cfg.Observer)
 	if cfg.ScheduleWriter != nil {
 		s.sched = bufio.NewWriter(cfg.ScheduleWriter)
 		fmt.Fprintln(s.sched, "id,size,components,arrival,start,finish,clusters")
 	}
 	s.startMeasuring(0)
-	// Jobs are pre-built during setup and every arrival is scheduled
-	// before the run, so an arrival wins a (time, seq) tie against any
-	// departure. The event carries the job pointer; routing happens when
-	// it fires.
-	clusters := len(cfg.ClusterSizes)
-	for _, r := range recs {
-		j := &workload.Job{
-			ID:          int64(r.ID),
-			TotalSize:   r.Size,
-			Components:  workload.Split(r.Size, cfg.ComponentLimit, clusters),
-			ServiceTime: r.Service,
-		}
-		j.ExtendedServiceTime = j.ServiceTime
-		if j.Multi() {
-			j.ExtendedServiceTime *= cfg.ExtensionFactor
-		}
-		s.eng.Schedule(r.Submit/load, evArrival, j)
-	}
+	start, _ := s.feed.nextAt() // validate rejects an empty log
+	s.eng.Schedule(start, evArrival, nil)
 	s.eng.Run()
 	s.reportEngine()
 
@@ -190,7 +251,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		MeanSlowdown:   s.slowdown.Mean(),
 		// A drained replay ends on a departure: the clock stands at the
 		// last finish time.
-		Makespan: s.eng.Now() - recs[0].Submit/load,
+		Makespan: s.eng.Now() - start,
 		MaxQueue: s.maxQueue,
 	}
 	if res.Makespan > 0 {

@@ -53,8 +53,8 @@ const (
 	// backlogSource keeps a fixed number of jobs queued, topping the queue
 	// up after every departure (RunBacklog). It stops at a virtual time.
 	backlogSource
-	// replaySource submits pre-built record jobs, every one scheduled
-	// before the run in submit order (Replay). It runs until the event
+	// replaySource submits the records of a job log in submit order,
+	// keeping one arrival event pending (Replay). It runs until the event
 	// queue drains.
 	replaySource
 )
@@ -133,6 +133,8 @@ type simulation struct {
 	src source
 	// backlog is the queue length backlogSource tops up to.
 	backlog int
+	// feed holds the records replaySource submits.
+	feed *replayFeed
 	// sched, when non-nil, receives the schedule CSV row of every
 	// departure (replaySource).
 	sched    *bufio.Writer
@@ -270,9 +272,10 @@ func (s *simulation) handleEvent(kind int32, payload any) {
 	switch kind {
 	case evArrival:
 		if s.src == replaySource {
-			j := payload.(*workload.Job)
-			j.Queue = s.routeQueue()
-			s.submit(j)
+			s.submitDue()
+			if t, ok := s.feed.nextAt(); ok {
+				s.eng.Schedule(t, evArrival, nil)
+			}
 		} else {
 			s.submit(s.nextJob())
 			s.scheduleArrival()
@@ -290,9 +293,24 @@ func (s *simulation) handleEvent(kind int32, payload any) {
 	}
 }
 
+// submitDue routes and submits every replay record due at or before the
+// clock, in submit order.
+func (s *simulation) submitDue() {
+	for j := s.feed.due(s.eng.Now()); j != nil; j = s.feed.due(s.eng.Now()) {
+		j.Queue = s.routeQueue()
+		s.submit(j)
+	}
+}
+
 // depart releases the job's processors, records metrics, and gives the
 // policy a scheduling opportunity.
 func (s *simulation) depart(j *workload.Job) {
+	if s.src == replaySource {
+		// An arrival wins a tie against a departure: the records due now
+		// are submitted before the job is released, even when this
+		// departure was scheduled before the pending arrival event.
+		s.submitDue()
+	}
 	now := s.eng.Now()
 	j.FinishTime = now
 	if s.flt != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -197,18 +196,4 @@ func Table(rows [][]string) string {
 		}
 	}
 	return b.String()
-}
-
-// SortByX returns a copy of the series with points ordered by x.
-func SortByX(s Series) Series {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	out := Series{Name: s.Name, X: make([]float64, len(s.X)), Y: make([]float64, len(s.Y))}
-	for i, j := range idx {
-		out.X[i], out.Y[i] = s.X[j], s.Y[j]
-	}
-	return out
 }

@@ -123,19 +123,3 @@ func TestTable(t *testing.T) {
 		t.Error("empty table should render empty")
 	}
 }
-
-func TestSortByX(t *testing.T) {
-	s := Series{Name: "s", X: []float64{3, 1, 2}, Y: []float64{30, 10, 20}}
-	sorted := SortByX(s)
-	wantX := []float64{1, 2, 3}
-	wantY := []float64{10, 20, 30}
-	for i := range wantX {
-		if sorted.X[i] != wantX[i] || sorted.Y[i] != wantY[i] {
-			t.Fatalf("sorted = %v/%v", sorted.X, sorted.Y)
-		}
-	}
-	// Original untouched.
-	if s.X[0] != 3 {
-		t.Error("SortByX mutated its input")
-	}
-}
