@@ -64,16 +64,6 @@ type Config struct {
 	// its JSONL event trace. An Observer is single-threaded: attaching
 	// one makes RunReplications execute its replications serially.
 	Observer *obs.Observer
-	// TraceProvider, when non-nil, resolves a pre-generated workload
-	// record (see NewTrace) for the run's seed, which the run replays
-	// instead of sampling jobs live; return nil to fall back to live
-	// sampling for that seed. The trace's seed and arrival rate must
-	// match the run's. Sweeps use this to run every policy on the
-	// identical job stream (common random numbers), and RunReplications
-	// derives a distinct seed per replication, so a provider is how a
-	// replicated run shares workloads. Only Unordered requests can be
-	// traced.
-	TraceProvider func(seed uint64) *Trace
 	// SaturationCutoff enables the early divergence monitor: the run
 	// samples its backlog growth at fixed completed-job checkpoints and
 	// halts as soon as the growth provably exceeds the end-of-run
@@ -87,9 +77,10 @@ type Config struct {
 	// Faults, when non-nil with a positive MTBF, injects per-cluster
 	// processor failure/repair processes into the run (see package
 	// faults). The fault draws come from their own named streams, so a
-	// workload trace stays valid under any failure rate. A nil or
-	// zero-rate spec leaves the run bit-identical to a fault-free one —
-	// pinned by a guardrail test. A negative or NaN MTBF is rejected.
+	// run draws the same jobs from its workload streams under any
+	// failure rate. A nil or zero-rate spec leaves the run bit-identical
+	// to a fault-free one — pinned by a guardrail test. A negative or NaN
+	// MTBF is rejected.
 	// Every policy handles the fault events (policies.Policy), including
 	// the backfilling pair (GS-EASY, GS-CONS), which repair their
 	// availability profiles on kills and capacity changes.
@@ -145,9 +136,6 @@ func (c *Config) validate() (policies.Policy, error) {
 	if c.RequestType != workload.Unordered && c.Policy != "GS" && c.Policy != "SC" {
 		return nil, fmt.Errorf("core: %s requests require the GS or SC policy, not %s",
 			c.RequestType, c.Policy)
-	}
-	if c.TraceProvider != nil && c.RequestType != workload.Unordered {
-		return nil, fmt.Errorf("core: workload traces support unordered requests, not %s", c.RequestType)
 	}
 	if c.Faults.Enabled() {
 		if err := c.Faults.Validate(); err != nil {

@@ -47,8 +47,8 @@ var arenaPool = sync.Pool{New: func() any { return workload.NewArena() }}
 type source int8
 
 const (
-	// poissonSource samples open-system Poisson arrivals live, or reads
-	// them from a shared workload trace (Run). It stops by job count.
+	// poissonSource samples open-system Poisson arrivals live from the
+	// run's named streams (Run). It stops by job count.
 	poissonSource source = iota
 	// backlogSource keeps a fixed number of jobs queued, topping the queue
 	// up after every departure (RunBacklog). It stops at a virtual time.
@@ -74,11 +74,6 @@ type simulation struct {
 	fit     cluster.Fit
 	arena   *workload.Arena
 	scratch *policies.Scratch
-
-	// cursor, when non-nil, replays a shared workload trace instead of
-	// sampling jobs live; traceIdx is the next entry to consume.
-	cursor   *traceCursor
-	traceIdx int
 
 	arrivalRate float64
 	reqType     workload.RequestType
@@ -421,6 +416,25 @@ func (s *simulation) startMeasuring(now float64) {
 	}
 }
 
+// routingCDF normalizes queue weights (nil = balanced over n queues) into
+// the cumulative distribution routeQueue walks.
+func routingCDF(weights []float64, n int) []float64 {
+	if weights == nil {
+		weights = Balanced(n)
+	}
+	var wsum float64
+	for _, w := range weights {
+		wsum += w
+	}
+	cdf := make([]float64, len(weights))
+	var acc float64
+	for i, w := range weights {
+		acc += w / wsum
+		cdf[i] = acc
+	}
+	return cdf
+}
+
 // routeQueue samples a local queue index from the routing distribution.
 func (s *simulation) routeQueue() int {
 	if len(s.routeCDF) == 1 {
@@ -435,19 +449,10 @@ func (s *simulation) routeQueue() int {
 	return len(s.routeCDF) - 1
 }
 
-// nextJob builds the next job of a sampling source in the run's arena:
-// from the shared trace record when one is attached, else drawn live.
+// nextJob draws the next job of a sampling source into the run's arena.
 func (s *simulation) nextJob() *workload.Job {
-	var j *workload.Job
-	if s.cursor != nil {
-		_, total, svc, queue := s.cursor.at(s.traceIdx)
-		j = s.spec.JobFromDraws(s.arena, total, svc)
-		j.Queue = queue
-		s.traceIdx++
-	} else {
-		j = s.spec.SampleTypedInto(s.arena, s.reqType, s.sizeStream, s.svcStream, s.placeStream)
-		j.Queue = s.routeQueue()
-	}
+	j := s.spec.SampleTypedInto(s.arena, s.reqType, s.sizeStream, s.svcStream, s.placeStream)
+	j.Queue = s.routeQueue()
 	s.nextID++
 	j.ID = s.nextID
 	return j
@@ -468,15 +473,10 @@ func (s *simulation) submit(j *workload.Job) {
 	s.sampleQueueDepth()
 }
 
-// scheduleArrival schedules the next Poisson arrival: at the trace's next
-// timestamp, or one exponential interarrival from now.
+// scheduleArrival schedules the next Poisson arrival one exponential
+// interarrival from now.
 func (s *simulation) scheduleArrival() {
-	if s.cursor != nil {
-		next, _, _, _ := s.cursor.at(s.traceIdx)
-		s.eng.Schedule(next, evArrival, nil)
-	} else {
-		s.eng.ScheduleAfter(s.arrivals.Exp(s.arrivalRate), evArrival, nil)
-	}
+	s.eng.ScheduleAfter(s.arrivals.Exp(s.arrivalRate), evArrival, nil)
 }
 
 // topUp refills the backlog source's queue to its target length.
@@ -493,15 +493,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var tr *Trace
-	if cfg.TraceProvider != nil {
-		tr = cfg.TraceProvider(cfg.Seed)
-	}
-	if tr != nil {
-		if err := tr.matches(cfg); err != nil {
-			return Result{}, err
-		}
-	}
 	src := rng.NewSource(cfg.Seed)
 	s := newSimulation(cfg.system(), pol, src, "core", cfg.MeasureJobs)
 	s.spec = cfg.Spec
@@ -510,9 +501,6 @@ func Run(cfg Config) (Result, error) {
 	s.reqType = cfg.RequestType
 	s.arrivals = src.Stream("core/arrivals")
 	s.placeStream = src.Stream("core/placement")
-	if tr != nil {
-		s.cursor = newTraceCursor(tr)
-	}
 	if cfg.SaturationCutoff {
 		s.cutoffOn = true
 		s.cutoffStride = int64(cutoffThreshold(cfg.MeasureJobs))

@@ -63,14 +63,10 @@ func ReqTypes(e *Env) (string, error) {
 	return b.String(), nil
 }
 
-// pointTyped is Point with a request type. Only unordered requests draw
-// the shared workload trace; the other types build their own jobs.
+// pointTyped is Point with a request type.
 func (e *Env) pointTyped(cs CurveSpec, rt workload.RequestType, util float64) (core.Result, error) {
 	cfg := e.pointConfig(cs, util)
 	cfg.RequestType = rt
-	if rt != workload.Unordered {
-		cfg.TraceProvider = nil
-	}
 	return e.runPoint(cfg)
 }
 

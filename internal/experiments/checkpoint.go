@@ -15,9 +15,9 @@ import (
 // the checkpoint interval? The model charges nothing for taking a
 // checkpoint, so a shorter interval is strictly better here; the curve
 // shows the diminishing returns a real system would weigh against the
-// checkpoint overhead. Every point shares the workload trace and the fault
-// streams, so the differences between intervals are purely how much of each
-// killed job's progress survives.
+// checkpoint overhead. Every point draws the same jobs and failures from
+// the same named streams, so the differences between intervals are purely
+// how much of each killed job's progress survives.
 
 // defaultCheckpointMTBF is the per-cluster failure rate of the checkpoint
 // sweep when Params.FaultMTBF is zero: one failure every ~17 minutes per

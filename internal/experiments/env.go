@@ -149,10 +149,6 @@ func grid(lo, hi, step float64) []float64 {
 type Env struct {
 	Params
 	Derived workload.Derived
-
-	// traces shares each (seed, utilization) point's workload record
-	// between the policies that sweep it (common random numbers).
-	traces traceCache
 }
 
 // NewEnv derives the canonical workload and returns a ready environment.
@@ -302,14 +298,15 @@ func (e *Env) runPoint(cfg core.Config) (core.Result, error) {
 	return core.RunReplications(cfg, e.Replications)
 }
 
-// pointConfig builds the run configuration of one sweep point, with the
-// shared workload trace attached whenever the request type can be traced.
+// pointConfig builds the run configuration of one sweep point. Every
+// policy run at the point draws the same jobs from its named streams
+// (common random numbers), since they share the seed and arrival rate.
 func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	var capacity int
 	for _, s := range cs.ClusterSizes {
 		capacity += s
 	}
-	cfg := core.Config{
+	return core.Config{
 		ClusterSizes:     cs.ClusterSizes,
 		Spec:             cs.Spec,
 		Policy:           cs.Policy,
@@ -324,16 +321,12 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 		SaturationCutoff: e.SaturationCutoff,
 		Decisions:        e.Decisions,
 	}
-	if cfg.RequestType == workload.Unordered {
-		cfg.TraceProvider = e.traces.provider(cfg)
-	}
-	return cfg
 }
 
-// FaultPoint is Point with fault injection (nil fs = fault-free). The
-// workload trace is shared with every other rate at this point, failure
-// draws come from their own streams, so the whole degradation grid runs on
-// a common job sequence and differences are purely the failures.
+// FaultPoint is Point with fault injection (nil fs = fault-free). Every
+// rate at this point draws the same jobs from the workload streams, and
+// failure draws come from their own streams, so the whole degradation grid
+// runs on a common job sequence and differences are purely the failures.
 func (e *Env) FaultPoint(cs CurveSpec, util float64, fs *faults.Spec) (core.Result, error) {
 	cfg := e.pointConfig(cs, util)
 	cfg.Faults = fs

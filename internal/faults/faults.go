@@ -3,7 +3,7 @@
 // Poisson failure process and exponential repair times, drawn from named
 // RNG streams ("faults/fail/<c>", "faults/repair/<c>") so the draws are a
 // pure function of the run seed: the workload streams never see a fault
-// draw, a shared workload trace stays valid under any failure rate, and a
+// draw, so a run draws the same jobs under any failure rate, and a
 // same-seed run replays byte-identically.
 //
 // The semantics are the simplest model that exercises co-allocation under

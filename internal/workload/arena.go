@@ -143,9 +143,7 @@ func (s *Spec) SampleInto(a *Arena, sizeStream, svcStream *rng.Stream) *Job {
 
 // JobFromDraws materializes the job Sample would have built from raw
 // draws (a total size and a net service time) already taken from the
-// streams. Trace replay in internal/core goes through it so a recorded
-// workload reconstructs jobs with the very same arithmetic as live
-// sampling — the bit-identity of the two paths is by construction.
+// streams.
 func (s *Spec) JobFromDraws(a *Arena, total int, svc float64) *Job {
 	j := a.Job()
 	j.TotalSize = total
