@@ -126,6 +126,7 @@ var DeterministicPackages = []string{
 	"internal/dectrace",
 	"internal/dist",
 	"internal/experiments",
+	"internal/faults",
 	"internal/obs",
 	"internal/plot",
 	"internal/policies",

@@ -3,10 +3,13 @@ package detlint_test
 import (
 	"bufio"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -195,5 +198,48 @@ func TestRunErrors(t *testing.T) {
 		Patterns: []string{"no/such/dir"},
 	}); err == nil {
 		t.Error("Run with missing pattern dir: want error")
+	}
+}
+
+// TestDeterministicPackagesClosed pins that the deterministic set is
+// closed under imports: every module package a deterministic package
+// imports (test files aside) must be in the set too, or the rules that
+// apply only inside it would skip code the simulation runs. Checking the
+// direct imports of every member covers the transitive closure.
+func TestDeterministicPackagesClosed(t *testing.T) {
+	const modPath = "coalloc/"
+	inSet := map[string]bool{}
+	for _, rel := range detlint.DeterministicPackages {
+		inSet[rel] = true
+	}
+	root := filepath.Join("..", "..")
+	for _, rel := range detlint.DeterministicPackages {
+		files, err := filepath.Glob(filepath.Join(root, rel, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Errorf("%s: deterministic package has no Go files", rel)
+		}
+		fset := token.NewFileSet()
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dep, ok := strings.CutPrefix(path, modPath); ok && !inSet[dep] {
+					t.Errorf("%s: deterministic package %s imports %s, which is not in DeterministicPackages",
+						fset.Position(imp.Pos()), rel, dep)
+				}
+			}
+		}
 	}
 }
