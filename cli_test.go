@@ -206,6 +206,7 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-mtbf", "NaN"}, "-mtbf"},
 			{"mcsim", []string{"-mttr", "Inf"}, "-mttr"},
 			{"mcsim", []string{"-mttr", "NaN"}, "-mttr"},
+			{"mcsim", []string{"-mtbf", "2000", "-mttr", "0"}, "-mttr"},
 			{"mcsim", []string{"-mtbf", "2000", "-checkpoint-interval", "Inf"}, "-checkpoint-interval"},
 			{"mcexp", []string{"-quick", "-mtbf", "Inf", "checkpoint"}, "-mtbf"},
 			{"mcsim", []string{"-replay", "-jobs", "-5"}, "-jobs"},

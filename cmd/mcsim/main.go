@@ -100,6 +100,9 @@ func main() {
 		cliutil.Failf("mcsim", "-ext %g must be a finite number >= 1", *ext)
 	}
 	cliutil.CheckFaultFlags("mcsim", *mtbf, *mttr, *ckptInterval)
+	if *mtbf > 0 && *mttr == 0 {
+		cliutil.Failf("mcsim", "-mttr 0 must be positive when -mtbf is set: a failed processor needs a repair time")
+	}
 	for _, f := range []struct {
 		name  string
 		value int
