@@ -99,15 +99,6 @@ func (c *IntCounter) Add(v int) {
 	c.total++
 }
 
-// AddN tallies n observations of value v.
-func (c *IntCounter) AddN(v int, n int64) {
-	if n <= 0 {
-		return
-	}
-	c.counts[v] += n
-	c.total += n
-}
-
 // Count returns the tally for value v.
 func (c *IntCounter) Count(v int) int64 { return c.counts[v] }
 

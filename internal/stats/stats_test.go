@@ -72,59 +72,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var whole, a, b Welford
-		n := 1 + r.Intn(50)
-		m := 1 + r.Intn(50)
-		for i := 0; i < n; i++ {
-			x := r.Float64() * 100
-			whole.Add(x)
-			a.Add(x)
-		}
-		for i := 0; i < m; i++ {
-			x := r.Float64() * 100
-			whole.Add(x)
-			b.Add(x)
-		}
-		a.Merge(&b)
-		return a.N() == whole.N() &&
-			almost(a.Mean(), whole.Mean(), 1e-9) &&
-			almost(a.Variance(), whole.Variance(), 1e-9) &&
-			a.Max() == whole.Max()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(&b)
-	if a != before {
-		t.Error("merging an empty accumulator changed state")
-	}
-	b.Merge(&a)
-	if b.Mean() != 2 {
-		t.Errorf("merge into empty: mean %g", b.Mean())
-	}
-}
-
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(5)
-	}
-	if a.Mean() != b.Mean() || a.N() != b.N() || a.Variance() != b.Variance() {
-		t.Error("AddN differs from repeated Add")
-	}
-}
-
 func TestTimeWeightedUtilization(t *testing.T) {
 	var tw TimeWeighted
 	tw.StartAt(0, 0)
@@ -235,7 +182,8 @@ func TestIntCounter(t *testing.T) {
 	c := NewIntCounter()
 	c.Add(1)
 	c.Add(1)
-	c.AddN(4, 2)
+	c.Add(4)
+	c.Add(4)
 	if c.total != 4 || c.Distinct() != 2 {
 		t.Errorf("total %d distinct %d", c.total, c.Distinct())
 	}
@@ -255,15 +203,6 @@ func TestIntCounter(t *testing.T) {
 	}
 	if !almost(c.Fraction(1), 0.5, 1e-12) {
 		t.Errorf("fraction = %g", c.Fraction(1))
-	}
-}
-
-func TestIntCounterAddNNonPositive(t *testing.T) {
-	c := NewIntCounter()
-	c.AddN(3, 0)
-	c.AddN(3, -5)
-	if c.total != 0 {
-		t.Errorf("AddN with non-positive count changed the counter: %d", c.total)
 	}
 }
 

@@ -27,44 +27,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN incorporates the same observation count times, in constant time.
-// It is the Chan et al. merge with a degenerate (count, x, 0) accumulator:
-// count identical observations contribute no within-group variance, so
-// only the between-group term delta² · n·count/(n+count) enters m2.
-// Non-positive counts are a no-op.
-func (w *Welford) AddN(x float64, count int64) {
-	if count <= 0 {
-		return
-	}
-	if w.n == 0 || x > w.max {
-		w.max = x
-	}
-	n := w.n + count
-	delta := x - w.mean
-	w.mean += delta * float64(count) / float64(n)
-	w.m2 += delta * delta * float64(w.n) * float64(count) / float64(n)
-	w.n = n
-}
-
-// Merge folds the other accumulator into w (Chan et al. parallel update).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 

@@ -1,52 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-
-	"coalloc/internal/rng"
-)
-
-// TestAddNEquivalence: the closed-form AddN must agree with count repeated
-// Add calls to within floating-point noise, for mixed magnitudes and both
-// orders of interleaving.
-func TestAddNEquivalence(t *testing.T) {
-	stream := rng.NewSource(7).Stream("test/addn")
-	var batched, repeated Welford
-	for i := 0; i < 50; i++ {
-		x := stream.Exp(0.001) // spread over several orders of magnitude
-		count := int64(1 + i%7)
-		batched.AddN(x, count)
-		for k := int64(0); k < count; k++ {
-			repeated.Add(x)
-		}
-	}
-	if batched.N() != repeated.N() {
-		t.Fatalf("N = %d, want %d", batched.N(), repeated.N())
-	}
-	approx := func(name string, got, want float64) {
-		t.Helper()
-		if math.Abs(got-want) > 1e-9*math.Abs(want) {
-			t.Errorf("%s = %g, want %g", name, got, want)
-		}
-	}
-	approx("Mean", batched.Mean(), repeated.Mean())
-	approx("Variance", batched.Variance(), repeated.Variance())
-	if batched.Max() != repeated.Max() {
-		t.Errorf("Max = %g, want %g", batched.Max(), repeated.Max())
-	}
-}
-
-// TestAddNNonPositiveCount: count <= 0 must leave the accumulator untouched.
-func TestAddNNonPositiveCount(t *testing.T) {
-	var w Welford
-	w.Add(3)
-	w.AddN(100, 0)
-	w.AddN(100, -5)
-	if w.N() != 1 || w.Mean() != 3 {
-		t.Fatalf("AddN with count<=0 mutated the accumulator: N=%d Mean=%g", w.N(), w.Mean())
-	}
-}
+import "testing"
 
 // TestTimeWeightedDecreasingReadPanics: reading the integral at a time
 // before the last update is a caller bug (it silently dropped the final
