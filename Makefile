@@ -27,9 +27,10 @@ bench-test:
 
 # lint runs go vet plus the detlint static-analysis suite, one rule per
 # hazard: the determinism and pooling invariants (nowallclock,
-# noglobalrand, nomaprange, eventretain, jobretain, scratchescape), each
-# reporting the direct use and, over the whole-module call graph, the
-# call that launders it through a helper; discarded Close/Flush errors
+# noglobalrand, nomaprange, eventretain, jobretain, scratchescape), where
+# nowallclock and the three pooling rules also report, over the
+# whole-module call graph, the call that launders the hazard through a
+# helper; discarded Close/Flush errors
 # (closecheck); and dead suppression directives (stalesuppress). `go run
 # ./cmd/mclint -help` prints the rule catalog; `-json` emits findings for
 # tooling.

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -275,9 +276,11 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestREADMEMatchesTree keeps README.md in step with the tree: every
-// ./cmd/<name> and ./examples/<name> path it mentions exists, and the
-// output block after "go run ./examples/quickstart" is that program's
-// output. Skipped under -short.
+// cmd/<name> and examples/<name> path it mentions exists, with or
+// without a leading ./; the examples/ row of the layout block names
+// exactly the directories under examples/; and the output block after
+// "go run ./examples/quickstart" is that program's output. Skipped
+// under -short.
 func TestREADMEMatchesTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the quickstart example")
@@ -287,9 +290,9 @@ func TestREADMEMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	readme := string(data)
-	paths := regexp.MustCompile(`\./(cmd|examples)/[A-Za-z0-9_]+`).FindAllString(readme, -1)
+	paths := regexp.MustCompile(`\b(cmd|examples)/[A-Za-z0-9_]+`).FindAllString(readme, -1)
 	if len(paths) == 0 {
-		t.Fatal("README.md mentions no ./cmd or ./examples paths")
+		t.Fatal("README.md mentions no cmd or examples paths")
 	}
 	seen := map[string]bool{}
 	for _, p := range paths {
@@ -300,6 +303,28 @@ func TestREADMEMatchesTree(t *testing.T) {
 		if fi, err := os.Stat(p); err != nil || !fi.IsDir() {
 			t.Errorf("README.md mentions %s, which is not a directory", p)
 		}
+	}
+
+	// The layout row is "examples/" and a comma-separated list of names,
+	// continued on indented lines.
+	row := regexp.MustCompile(`(?m)^examples/ +(.*(?:\n {2,}.*)*)`).FindStringSubmatch(readme)
+	if row == nil {
+		t.Fatal("README.md layout block has no examples/ row")
+	}
+	listed := strings.FieldsFunc(row[1], func(r rune) bool { return r == ',' || r == ' ' || r == '\n' })
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	sort.Strings(listed)
+	if strings.Join(listed, " ") != strings.Join(dirs, " ") {
+		t.Errorf("README.md layout row lists examples %v, examples/ holds %v", listed, dirs)
 	}
 
 	const intro = "go run ./examples/quickstart\n```\n\n```text\n"

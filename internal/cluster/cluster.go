@@ -79,15 +79,6 @@ func New(sizes []int) *Multicluster {
 	return m
 }
 
-// Uniform returns a multicluster of n clusters with size processors each.
-func Uniform(n, size int) *Multicluster {
-	sizes := make([]int, n)
-	for i := range sizes {
-		sizes[i] = size
-	}
-	return New(sizes)
-}
-
 // NumClusters returns the number of clusters.
 func (m *Multicluster) NumClusters() int { return len(m.sizes) }
 
@@ -351,14 +342,4 @@ func (m *Multicluster) Release(components, placement []int) {
 		m.idle[c] += components[i]
 		m.busy -= components[i]
 	}
-}
-
-// Reset marks every processor idle and repairs every failed one.
-func (m *Multicluster) Reset() {
-	for i := range m.idle {
-		m.idle[i] = m.sizes[i]
-		m.down[i] = 0
-	}
-	m.busy = 0
-	m.downTotal = 0
 }

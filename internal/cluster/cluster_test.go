@@ -31,13 +31,6 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	m := Uniform(4, 32)
-	if m.NumClusters() != 4 || m.Capacity() != 128 {
-		t.Errorf("uniform: %d clusters, capacity %d", m.NumClusters(), m.Capacity())
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	for _, sizes := range [][]int{nil, {}, {32, 0}, {-1}} {
 		func() {
@@ -261,16 +254,6 @@ func TestFailRepairPanics(t *testing.T) {
 	}
 }
 
-func TestResetRepairsFailures(t *testing.T) {
-	m := New([]int{4, 4})
-	m.Fail(0)
-	m.Fail(1)
-	m.Reset()
-	if m.Down(0) != 0 || m.Down(1) != 0 || m.TotalAvail() != 8 || m.TotalIdle() != 8 {
-		t.Error("Reset left processors down")
-	}
-}
-
 func TestFitsOn(t *testing.T) {
 	m := New([]int{32, 32})
 	m.Alloc([]int{30}, []int{0})
@@ -279,15 +262,6 @@ func TestFitsOn(t *testing.T) {
 	}
 	if !m.FitsOn(0, 2) || !m.FitsOn(1, 32) {
 		t.Error("legitimate fits rejected")
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New([]int{32, 32})
-	m.Alloc([]int{10, 10}, []int{0, 1})
-	m.Reset()
-	if m.Busy() != 0 || m.Idle(0) != 32 || m.Idle(1) != 32 {
-		t.Error("Reset did not restore full idleness")
 	}
 }
 
@@ -367,7 +341,7 @@ func TestRandomAllocReleaseConservation(t *testing.T) {
 func TestPlaceNeverOverfills(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.NewStream(seed)
-		m := Uniform(4, 32)
+		m := New([]int{32, 32, 32, 32})
 		// Random pre-load.
 		for c := 0; c < 4; c++ {
 			if n := r.Intn(33); n > 0 {

@@ -82,7 +82,11 @@ func TestCarveFlexiblePanics(t *testing.T) {
 func TestCarveFlexibleProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.NewStream(seed)
-		m := Uniform(1+r.Intn(5), 8+r.Intn(40))
+		sizes := make([]int, 1+r.Intn(5))
+		for i, size := 0, 8+r.Intn(40); i < len(sizes); i++ {
+			sizes[i] = size
+		}
+		m := New(sizes)
 		// Random pre-load.
 		for c := 0; c < m.NumClusters(); c++ {
 			if n := r.Intn(m.Size(c) + 1); n > 0 {

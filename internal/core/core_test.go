@@ -34,28 +34,6 @@ func testSpec(t *testing.T, limit, clusters int) workload.Spec {
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	cfg := Config{
-		ClusterSizes: []int{32, 32, 32, 32},
-		Spec:         testSpec(t, 16, 4),
-		Policy:       "LS",
-		WarmupJobs:   200,
-		MeasureJobs:  2000,
-		Seed:         77,
-	}
-	a, err := RunAtUtilization(cfg, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAtUtilization(cfg, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MeanResponse != b.MeanResponse || a.GrossUtilization != b.GrossUtilization {
-		t.Errorf("same seed gave %v vs %v", a.MeanResponse, b.MeanResponse)
-	}
-}
-
 // TestRunAtUtilizationRejectsBadInput: the arrival rate is derived from
 // the spec and the utilization, so bad values of either come back as an
 // error instead of a panic inside the derivation.
@@ -509,28 +487,6 @@ func TestBacklogValidation(t *testing.T) {
 		if _, err := RunBacklog(cfg); err == nil {
 			t.Errorf("bad backlog config %d accepted", i)
 		}
-	}
-}
-
-func TestBacklogDeterministic(t *testing.T) {
-	cfg := BacklogConfig{
-		ClusterSizes: []int{32, 32, 32, 32},
-		Spec:         testSpec(t, 16, 4),
-		Policy:       "GS",
-		WarmupTime:   5000,
-		MeasureTime:  30000,
-		Seed:         6,
-	}
-	a, err := RunBacklog(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunBacklog(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MaxGrossUtilization != b.MaxGrossUtilization || a.Jobs != b.Jobs {
-		t.Error("backlog runs with equal seeds diverged")
 	}
 }
 

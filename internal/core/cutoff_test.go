@@ -84,31 +84,6 @@ func TestSaturationCutoffTruncatesSaturatedRun(t *testing.T) {
 	}
 }
 
-// TestSaturationCutoffDeterministic pins that the truncated run itself is
-// reproducible: same config, same seed, same truncation point.
-func TestSaturationCutoffDeterministic(t *testing.T) {
-	cfg := Config{
-		ClusterSizes:     []int{32, 32, 32, 32},
-		Spec:             testSpec(t, 16, 4),
-		Policy:           "GS",
-		WarmupJobs:       200,
-		MeasureJobs:      8000,
-		Seed:             7,
-		SaturationCutoff: true,
-	}
-	a, err := RunAtUtilization(cfg, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAtUtilization(cfg, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa, sb := fmt.Sprintf("%+v", a), fmt.Sprintf("%+v", b); sa != sb {
-		t.Errorf("truncated run not deterministic:\n  first:  %s\n  second: %s", sa, sb)
-	}
-}
-
 // TestSaturationCutoffMergedReplications checks that merged replications
 // sum the per-replication truncations and keep the Saturated flag.
 func TestSaturationCutoffMergedReplications(t *testing.T) {

@@ -105,34 +105,6 @@ func TestDecisionTracingMergesAcrossReplications(t *testing.T) {
 	}
 }
 
-// TestDecisionRecordsByteIdenticalPerSeed pins the determinism contract of
-// the JSONL sink: two same-seed runs must produce byte-identical traces,
-// decision records included.
-func TestDecisionRecordsByteIdenticalPerSeed(t *testing.T) {
-	for _, policy := range []string{"LS", "LP", "GS-EASY", "GS-CONS"} {
-		run := func() string {
-			var buf bytes.Buffer
-			cfg := decTestConfig(t, policy)
-			cfg.Decisions = &dectrace.Options{}
-			cfg.Observer = obs.New(&buf)
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("%s: %v", policy, err)
-			}
-			if err := cfg.Observer.Close(); err != nil {
-				t.Fatalf("%s close: %v", policy, err)
-			}
-			return buf.String()
-		}
-		first, second := run(), run()
-		if first != second {
-			t.Errorf("%s: decision trace differs between same-seed runs", policy)
-		}
-		if !strings.Contains(first, `"ev":"decision"`) {
-			t.Errorf("%s: trace has no decision records", policy)
-		}
-	}
-}
-
 // TestDecisionTracingAddsOnlyDecisionRecords: the rest of the trace must
 // not move when tracing turns on — removing the decision lines from a
 // traced run's JSONL yields byte-for-byte the untraced run's JSONL.

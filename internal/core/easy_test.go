@@ -61,30 +61,6 @@ func TestSCEASYMaximalUtilization(t *testing.T) {
 	}
 }
 
-// TestEASYDeterministic: the backfilling path is deterministic in the seed.
-func TestEASYDeterministic(t *testing.T) {
-	spec := testSpec(t, 16, 4)
-	cfg := Config{
-		ClusterSizes: []int{32, 32, 32, 32},
-		Spec:         spec,
-		Policy:       "GS-EASY",
-		WarmupJobs:   200,
-		MeasureJobs:  3000,
-		Seed:         4,
-	}
-	a, err := RunAtUtilization(cfg, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAtUtilization(cfg, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MeanResponse != b.MeanResponse {
-		t.Error("GS-EASY runs with equal seeds diverged")
-	}
-}
-
 // TestSCEASYValidation: SC-EASY requires a single cluster.
 func TestSCEASYValidation(t *testing.T) {
 	cfg := Config{

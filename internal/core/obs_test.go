@@ -30,30 +30,23 @@ func obsRunConfig(t *testing.T) Config {
 	}
 }
 
-// TestTraceByteIdentical pins the determinism guarantee of the trace sink:
-// two runs of the same configuration and seed produce byte-identical JSONL.
+// TestTraceByteIdentical checks the JSONL trace of an observed run line
+// by line: every line is a record with a time and a kind.
+// TestSameSeedMatrix checks that two same-seed traces are byte-identical.
 func TestTraceByteIdentical(t *testing.T) {
-	runOnce := func() []byte {
-		var buf bytes.Buffer
-		cfg := obsRunConfig(t)
-		cfg.Observer = obs.New(&buf)
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if err := cfg.Observer.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		return buf.Bytes()
+	var buf bytes.Buffer
+	cfg := obsRunConfig(t)
+	cfg.Observer = obs.New(&buf)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	a, b := runOnce(), runOnce()
-	if len(a) == 0 {
+	if err := cfg.Observer.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if buf.Len() == 0 {
 		t.Fatal("trace is empty")
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed traces differ: %d vs %d bytes", len(a), len(b))
-	}
-	// Every line is one of the five record kinds.
-	for _, line := range strings.Split(strings.TrimRight(string(a), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		if !strings.HasPrefix(line, `{"t":`) || !strings.Contains(line, `"ev":`) {
 			t.Fatalf("malformed trace line: %s", line)
 		}
@@ -149,24 +142,6 @@ func TestZeroWarmupLindley(t *testing.T) {
 	want := sum / n
 	if diff := math.Abs(res.MeanResponse - want); diff > 1e-9*want {
 		t.Fatalf("MeanResponse = %g, Lindley schedule gives %g (diff %g)", res.MeanResponse, want, diff)
-	}
-}
-
-// TestNoWarmupDeterministic pins that two NoWarmup runs agree bit-for-bit.
-func TestNoWarmupDeterministic(t *testing.T) {
-	cfg := obsRunConfig(t)
-	cfg.WarmupJobs = 0
-	cfg.NoWarmup = true
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if a.MeanResponse != b.MeanResponse || a.GrossUtilization != b.GrossUtilization || a.Jobs != b.Jobs {
-		t.Fatalf("NoWarmup runs differ: %+v vs %+v", a, b)
 	}
 }
 

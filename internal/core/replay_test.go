@@ -135,28 +135,6 @@ func TestReplayBasics(t *testing.T) {
 	}
 }
 
-func TestReplayDeterministic(t *testing.T) {
-	cfg := ReplayConfig{
-		ClusterSizes:    []int{32, 32, 32, 32},
-		Records:         replayRecords(1000),
-		Policy:          "LP",
-		ComponentLimit:  16,
-		ExtensionFactor: 1.25,
-		Seed:            7,
-	}
-	a, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MeanResponse != b.MeanResponse || a.Makespan != b.Makespan {
-		t.Error("replays with identical inputs diverged")
-	}
-}
-
 func TestReplayLoadFactorRaisesUtilization(t *testing.T) {
 	base := ReplayConfig{
 		ClusterSizes:    []int{32, 32, 32, 32},

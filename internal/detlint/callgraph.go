@@ -8,9 +8,9 @@ import (
 )
 
 // callGraph is the whole-module call graph the interprocedural checks
-// (the taint closure of nowallclock and noglobalrand, the escape
-// summaries of eventretain, jobretain and scratchescape) run their
-// dataflow passes over.
+// (the taint closure of nowallclock, the escape summaries of
+// eventretain, jobretain and scratchescape) run their dataflow passes
+// over.
 //
 // Nodes are the module's own functions and methods — every *types.Func
 // whose declaration (with a body) was loaded. Edges are resolved

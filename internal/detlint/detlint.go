@@ -17,19 +17,19 @@
 // # Rules
 //
 // Eight analyzers ship with the framework (see All), one per hazard.
-// Where a hazard can be laundered through a helper, its rule reports
-// both the direct use and, through a whole-module call graph over
-// go/types (see callgraph.go and DESIGN.md §14), the call site that
-// reaches it:
+// Where a hazard can be laundered through a helper in a file the direct
+// check does not cover, its rule reports both the direct use and,
+// through a whole-module call graph over go/types (see callgraph.go and
+// DESIGN.md §14), the call site that reaches it:
 //
 //   - nowallclock: no wall-clock time (time.Now, time.Since, time.Sleep,
 //     ...) in deterministic packages, and no call there to a module
 //     function that transitively reaches it; simulations read
 //     sim.Engine.Now.
 //   - noglobalrand: no math/rand or math/rand/v2 import anywhere in
-//     non-test code, and no call in a deterministic package to a module
-//     function that transitively reaches it; all randomness flows
-//     through internal/rng seeded streams.
+//     non-test code; all randomness flows through internal/rng seeded
+//     streams. A helper that draws from math/rand imports it, so the
+//     module-wide import check already reports every laundering path.
 //   - nomaprange: no ranging over maps in deterministic packages unless
 //     the loop only collects the keys into a slice that is sorted before
 //     use, or the site carries a suppression.
@@ -86,8 +86,8 @@ import (
 
 // Analyzer is one lint rule: a stable identifier, a one-line description
 // (shown by `mclint -help`), and a function applied to each loaded
-// package. Run builds the whole-module dataflow facts (call graph, taint
-// closures, escape summaries) before any analyzer's Run executes.
+// package. Run builds the whole-module dataflow facts (call graph,
+// wall-clock taint, escape summaries) before any analyzer's Run executes.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -115,9 +115,8 @@ var StaleSuppress = &Analyzer{
 
 // DeterministicPackages lists the module-relative import paths whose code
 // must stay bit-reproducible across runs and across serial/parallel
-// execution. nowallclock and nomaprange apply only inside this set, as
-// does noglobalrand's call-site check; the other rules apply
-// module-wide.
+// execution. nowallclock and nomaprange apply only inside this set; the
+// other rules apply module-wide.
 var DeterministicPackages = []string{
 	"internal/analysis",
 	"internal/cluster",

@@ -3,13 +3,13 @@ package detlint
 import "go/types"
 
 // moduleFacts bundles the interprocedural dataflow the rules share: the
-// whole-module call graph, the taint closures, and the escape summaries.
+// whole-module call graph, the wall-clock taint closure, and the escape
+// summaries.
 // Run builds it once, single-threaded, before the parallel per-package
 // analysis phase; afterwards it is immutable.
 type moduleFacts struct {
 	cg      *callGraph
 	clock   map[*types.Func]*taintFact // functions that reach the wall clock
-	rand    map[*types.Func]*taintFact // functions that reach math/rand
 	event   *escapeFacts
 	job     *escapeFacts
 	scratch *scratchFacts
@@ -23,8 +23,7 @@ func (m *Module) buildFacts() {
 	cg := buildCallGraph(m)
 	m.facts = &moduleFacts{
 		cg:      cg,
-		clock:   buildTaint(cg, NoWallClock.Name, wallClock),
-		rand:    buildTaint(cg, NoGlobalRand.Name, globalRand),
+		clock:   buildTaint(cg),
 		event:   buildEscapeFacts(cg, eventSpec(m)),
 		job:     buildEscapeFacts(cg, jobSpec(m)),
 		scratch: buildScratchFacts(cg),

@@ -1,23 +1,19 @@
 package detlint
 
-import "go/ast"
-
 // NoGlobalRand forbids math/rand and math/rand/v2 anywhere in non-test
 // code. All randomness must flow through internal/rng: its named,
 // seed-derived streams are what keep every stochastic component on its
 // own reproducible sequence (the common-random-numbers discipline behind
 // the paper's policy comparisons). math/rand's global source is seeded
 // per-process and shared across callers, so one stray call perturbs every
-// downstream draw. The rule flags the import module-wide and, through
-// the taint closure (taint.go), every call from a deterministic package
-// to a module function that reaches math/rand.
+// downstream draw. The rule flags the import module-wide. That also
+// covers a draw laundered through a helper: the helper's file imports
+// math/rand, so it is reported whichever package calls it.
 var NoGlobalRand = &Analyzer{
 	Name: "noglobalrand",
-	Doc:  "no math/rand or math/rand/v2 in non-test code, nor calls from deterministic packages that reach it; use internal/rng seeded streams",
+	Doc:  "no math/rand or math/rand/v2 import in non-test code; use internal/rng seeded streams",
 	Run:  runNoGlobalRand,
 }
-
-const globalRandAdvice = "use internal/rng seeded streams"
 
 var forbiddenRandImports = map[string]bool{
 	"math/rand":    true,
@@ -33,14 +29,5 @@ func runNoGlobalRand(p *Pass) {
 					"import of %s: all randomness must flow through internal/rng seeded streams", path)
 			}
 		}
-		if !p.Deterministic() {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				reportTaintedCall(p, p.Module.facts.rand, call, globalRandAdvice)
-			}
-			return true
-		})
 	}
 }

@@ -46,7 +46,7 @@ func runNoWallClock(p *Pass) {
 						name, p.Pkg.ImportPath, wallClockAdvice)
 				}
 			case *ast.CallExpr:
-				reportTaintedCall(p, p.Module.facts.clock, n, wallClockAdvice)
+				reportTaintedCall(p, n)
 			}
 			return true
 		})

@@ -6,33 +6,23 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural taint closure behind nowallclock and
-// noglobalrand. For one nondeterminism source it marks every module
-// function that touches the source directly or calls, however many
-// helper hops away, a function that does. The rules then flag calls to
-// marked functions from deterministic packages, so a wall-clock read or
-// a math/rand draw laundered through a helper outside the deterministic
+// This file is the interprocedural taint closure behind nowallclock. It
+// marks every module function that reads the wall clock directly or
+// calls, however many helper hops away, a function that does. The rule
+// then flags calls to marked functions from deterministic packages, so
+// a wall-clock read laundered through a helper outside the deterministic
 // set (a cmd utility, a benchmark harness) is reported where
 // deterministic code reaches it.
+//
+// noglobalrand needs no such closure: a function that touches math/rand
+// sits in a file that imports it, and that import is reported
+// module-wide.
 
-// source classifies a selector as a direct use of one nondeterminism
-// source, returning its display name ("time.Now", "rand.Intn") or "".
-type source func(info *types.Info, sel *ast.SelectorExpr) string
-
-// wallClock is the nowallclock source: the wallClockFuncs of package
-// time.
+// wallClock returns the display name ("time.Now") of a selector that
+// names one of the wallClockFuncs of package time, or "".
 func wallClock(info *types.Info, sel *ast.SelectorExpr) string {
 	if importedPath(info, sel) == "time" && wallClockFuncs[sel.Sel.Name] {
 		return "time." + sel.Sel.Name
-	}
-	return ""
-}
-
-// globalRand is the noglobalrand source: any selector of math/rand or
-// math/rand/v2.
-func globalRand(info *types.Info, sel *ast.SelectorExpr) string {
-	if forbiddenRandImports[importedPath(info, sel)] {
-		return "rand." + sel.Sel.Name
 	}
 	return ""
 }
@@ -51,26 +41,26 @@ func importedPath(info *types.Info, sel *ast.SelectorExpr) string {
 	return pn.Imported().Path()
 }
 
-// taintFact explains why one module function is tainted: the ultimate
-// source it reaches and the next hop toward it (nil when the function
-// touches the source directly). Following via links reconstructs a
+// taintFact explains why one module function is tainted: the wall-clock
+// function it reaches and the next hop toward it (nil when the function
+// reads the clock directly). Following via links reconstructs a
 // shortest witness chain for the finding message.
 type taintFact struct {
 	source string
 	via    *types.Func
 }
 
-// buildTaint seeds taint at every module function that directly touches
-// src, then propagates it to callers over the call graph (BFS, so each
-// fact records a shortest witness chain). A directly-touching site whose
-// line carries a suppression for rule is a documented-safe use and does
-// not seed taint; the engine credits the directive so it is not reported
-// stale.
-func buildTaint(cg *callGraph, rule string, src source) map[*types.Func]*taintFact {
+// buildTaint seeds taint at every module function that reads the wall
+// clock directly, then propagates it to callers over the call graph
+// (BFS, so each fact records a shortest witness chain). A direct read
+// whose line carries a nowallclock suppression is a documented-safe use
+// and does not seed taint; the engine credits the directive so it is
+// not reported stale.
+func buildTaint(cg *callGraph) map[*types.Func]*taintFact {
 	taint := make(map[*types.Func]*taintFact)
 	var queue []*types.Func
 	for _, fi := range cg.funcs {
-		if name := directTaint(cg, fi, rule, src); name != "" {
+		if name := directTaint(cg, fi); name != "" {
 			taint[fi.fn] = &taintFact{source: name}
 			queue = append(queue, fi.fn)
 		}
@@ -95,9 +85,9 @@ func buildTaint(cg *callGraph, rule string, src source) map[*types.Func]*taintFa
 	return taint
 }
 
-// directTaint returns the name of the first unsanctioned use of src in
-// the function's body, or "".
-func directTaint(cg *callGraph, fi *funcInfo, rule string, src source) string {
+// directTaint returns the name of the first unsanctioned wall-clock read
+// in the function's body, or "".
+func directTaint(cg *callGraph, fi *funcInfo) string {
 	name := ""
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		if name != "" {
@@ -107,8 +97,8 @@ func directTaint(cg *callGraph, fi *funcInfo, rule string, src source) string {
 		if !ok {
 			return true
 		}
-		if s := src(fi.pkg.Info, sel); s != "" &&
-			!cg.mod.sup.sanctions(cg.mod.Fset.Position(sel.Pos()), rule) {
+		if s := wallClock(fi.pkg.Info, sel); s != "" &&
+			!cg.mod.sup.sanctions(cg.mod.Fset.Position(sel.Pos()), NoWallClock.Name) {
 			name = s
 		}
 		return true
@@ -117,10 +107,10 @@ func directTaint(cg *callGraph, fi *funcInfo, rule string, src source) string {
 }
 
 // reportTaintedCall flags call when it may invoke a module function that
-// reaches the source taint was built for. The rules call it only inside
-// deterministic packages.
-func reportTaintedCall(p *Pass, taint map[*types.Func]*taintFact, call *ast.CallExpr, advice string) {
-	cg := p.Module.facts.cg
+// reaches the wall clock. nowallclock calls it only inside deterministic
+// packages.
+func reportTaintedCall(p *Pass, call *ast.CallExpr) {
+	cg, taint := p.Module.facts.cg, p.Module.facts.clock
 	for _, callee := range cg.resolveCall(p.Pkg.Info, call) {
 		t := taint[callee]
 		if t == nil {
@@ -128,7 +118,7 @@ func reportTaintedCall(p *Pass, taint map[*types.Func]*taintFact, call *ast.Call
 		}
 		p.Reportf(call.Pos(), "call to %s reaches %s in deterministic package %s (%s); %s",
 			cg.qualifiedName(callee, p.Pkg), t.source, p.Pkg.ImportPath,
-			taintChain(cg, taint, callee, p.Pkg), advice)
+			taintChain(cg, taint, callee, p.Pkg), wallClockAdvice)
 	}
 }
 

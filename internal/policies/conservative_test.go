@@ -96,7 +96,11 @@ func TestProfileReservePanicsOnOverlap(t *testing.T) {
 func TestProfileRandomConsistency(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.NewStream(seed)
-		m := cluster.Uniform(1+r.Intn(4), 16+r.Intn(32))
+		sizes := make([]int, 1+r.Intn(4))
+		for i, size := 0, 16+r.Intn(32); i < len(sizes); i++ {
+			sizes[i] = size
+		}
+		m := cluster.New(sizes)
 		p := newProfile(m, 0, nil)
 		for step := 0; step < 40; step++ {
 			n := 1 + r.Intn(m.NumClusters())

@@ -43,7 +43,11 @@ func TestProfileDifferential(t *testing.T) {
 		r := rng.NewStream(seed)
 		nc := 1 + r.Intn(4)
 		size := 8 + r.Intn(25)
-		m := cluster.Uniform(nc, size)
+		sizes := make([]int, nc)
+		for i := range sizes {
+			sizes[i] = size
+		}
+		m := cluster.New(sizes)
 		fit := fits[r.Intn(3)]
 
 		// A random running set seeds both profiles with release breakpoints.
