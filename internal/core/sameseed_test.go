@@ -181,34 +181,7 @@ func TestSameSeedMatrix(t *testing.T) {
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			var outs [2][][2]string
-			var errs [2]error
-			var wg sync.WaitGroup
-			for k := range outs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							errs[k] = fmt.Errorf("%s: panic: %v", row.name, r)
-						}
-					}()
-					outs[k], errs[k] = row.run()
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			a, b := outs[0], outs[1]
-			for j := range a {
-				if a[j] != b[j] {
-					t.Errorf("same-seed runs differ in output %q:\n  first:  %.300s\n  second: %.300s",
-						row.name+a[j][0], a[j][1], b[j][1])
-				}
-			}
+			a := runSameSeedTwice(t, row)
 			if isPoissonDigest(row.name) && !t.Failed() {
 				for _, kv := range a {
 					pinned[i] = append(pinned[i], [2]string{row.name + kv[0], digest(kv[1])})
@@ -216,6 +189,76 @@ func TestSameSeedMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runSameSeedTwice runs row twice at once, fails t unless the two runs
+// agree on every output, and returns the outputs of the first run.
+func runSameSeedTwice(t *testing.T, row sameSeedRow) [][2]string {
+	t.Helper()
+	var outs [2][][2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[k] = fmt.Errorf("%s: panic: %v", row.name, r)
+				}
+			}()
+			outs[k], errs[k] = row.run()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := outs[0], outs[1]
+	for j := range a {
+		if a[j] != b[j] {
+			t.Errorf("same-seed runs differ in output %q:\n  first:  %.300s\n  second: %.300s",
+				row.name+a[j][0], a[j][1], b[j][1])
+		}
+	}
+	return a
+}
+
+// runSameSeedRows runs, as subtests, the matrix rows named in names; a
+// name ending in "/" selects every policy of that row kind. It backs
+// the per-feature determinism tests below, which run under -short too
+// and pin no digests.
+func runSameSeedRows(t *testing.T, names ...string) {
+	for _, row := range sameSeedRows(t) {
+		for _, n := range names {
+			if row.name == n || strings.HasSuffix(n, "/") && strings.HasPrefix(row.name, n) {
+				t.Run(row.name, func(t *testing.T) {
+					t.Parallel()
+					runSameSeedTwice(t, row)
+				})
+			}
+		}
+	}
+}
+
+func TestRunDeterministic(t *testing.T) { runSameSeedRows(t, "poisson/LS") }
+
+func TestEASYDeterministic(t *testing.T) { runSameSeedRows(t, "poisson/GS-EASY") }
+
+func TestBacklogDeterministic(t *testing.T) { runSameSeedRows(t, "backlog/GS") }
+
+func TestReplayDeterministic(t *testing.T) {
+	runSameSeedRows(t, "replay/LP", "replay-traced/LP")
+}
+
+func TestNoWarmupDeterministic(t *testing.T) { runSameSeedRows(t, "poisson-traced/") }
+
+func TestSaturationCutoffDeterministic(t *testing.T) { runSameSeedRows(t, "poisson-cutoff/") }
+
+func TestDecisionRecordsByteIdenticalPerSeed(t *testing.T) {
+	runSameSeedRows(t, "poisson-decisions/")
 }
 
 // isPoissonDigest selects the open-system lines of the digest file.
