@@ -32,7 +32,7 @@ func main() {
 	satCutoff := flag.Bool("saturation-cutoff", true, "stop saturated sweep points at the first provable divergence checkpoint instead of the full horizon (non-saturated points are bit-identical either way)")
 	measure := flag.Int("jobs", 0, "measured jobs per run (0 = preset default)")
 	dataDir := flag.String("data", "", "directory for CSV output (optional)")
-	progress := flag.Bool("progress", false, "print one line per completed sweep point (stderr)")
+	progress := flag.Bool("progress", false, "print one line per sweep point run (stderr)")
 	metrics := flag.Bool("metrics", false, "print an aggregate metrics summary after the experiments")
 	mttr := flag.Float64("mttr", 0, "mean processor repair time in s for the fault experiments (0 = 900 s default)")
 	mtbf := flag.Float64("mtbf", 0, "per-cluster mean time between failures in s for the checkpoint experiment (0 = 1000 s default; the faults experiment sweeps its own grid)")

@@ -12,6 +12,12 @@ import (
 	"coalloc/internal/workload"
 )
 
+// resultKey renders a Result for equality checks. %v prints the shortest
+// round-trippable representation of every float64, so equal strings mean
+// bit-identical values — and NaN == NaN, which plain struct comparison
+// would reject.
+func resultKey(r Result) string { return fmt.Sprintf("%+v", r) }
+
 func testSpec(t *testing.T, limit, clusters int) workload.Spec {
 	t.Helper()
 	der := workload.DeriveDefault()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -32,9 +31,7 @@ func TestSaturationCutoffBitIdenticalWhenStable(t *testing.T) {
 		if plain.Saturated || cut.TruncatedJobs != 0 {
 			t.Fatalf("%s: stable run saturated=%v truncated=%d", pol, plain.Saturated, cut.TruncatedJobs)
 		}
-		// Sprintf equality covers every field, including NaN-valued ones
-		// that == would reject.
-		a, b := fmt.Sprintf("%+v", plain), fmt.Sprintf("%+v", cut)
+		a, b := resultKey(plain), resultKey(cut)
 		if a != b {
 			t.Errorf("%s: cutoff changed a stable run's Result:\n  off: %s\n  on:  %s", pol, a, b)
 		}

@@ -3,19 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"coalloc/internal/obs"
 )
-
-// resultKey renders a Result for equality checks. %v prints the shortest
-// round-trippable representation of every float64, so equal strings mean
-// bit-identical values — and NaN == NaN, which plain struct comparison
-// would reject.
-func resultKey(r Result) string { return fmt.Sprintf("%+v", r) }
 
 // TestRunReplicationsDeterministic is the guardrail for the parallel
 // replication runner: gathering the replications concurrently must produce

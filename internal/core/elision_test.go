@@ -46,7 +46,7 @@ func TestElisionEndToEndGuardrail(t *testing.T) {
 				policies.SetPassElision(true)
 				resOn, traceOn, metricsOn := runObserved(t, cfg, 0.6)
 				policies.SetPassElision(prev)
-				if !sameResult(resOff, resOn) {
+				if resultKey(resOff) != resultKey(resOn) {
 					t.Errorf("pass elision changed the Result:\noff: %+v\non:  %+v", resOff, resOn)
 				}
 				if traceOff != traceOn {

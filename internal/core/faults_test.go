@@ -2,20 +2,12 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"coalloc/internal/faults"
 	"coalloc/internal/obs"
 )
-
-// sameResult compares two Results by their formatted rendering, which —
-// unlike reflect.DeepEqual — treats the NaN placeholders of absent
-// response breakdowns as equal.
-func sameResult(a, b Result) bool {
-	return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b)
-}
 
 // faultTestConfig is a short multicluster run with observability attached:
 // small enough to run for every policy, long enough to see kills at a
@@ -63,7 +55,7 @@ func TestFaultFreeGuardrail(t *testing.T) {
 			disabled := faultTestConfig(t, policy, &faults.Spec{MTBF: 0, MTTR: 900})
 			resA, traceA, metricsA := runObserved(t, base, 0.5)
 			resB, traceB, metricsB := runObserved(t, disabled, 0.5)
-			if !sameResult(resA, resB) {
+			if resultKey(resA) != resultKey(resB) {
 				t.Errorf("disabled fault spec changed the Result:\nnil:      %+v\ndisabled: %+v", resA, resB)
 			}
 			if traceA != traceB {
@@ -91,7 +83,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			resA, traceA, metricsA := runObserved(t, faultTestConfig(t, policy, spec), 0.6)
 			resB, traceB, metricsB := runObserved(t, faultTestConfig(t, policy, spec), 0.6)
-			if !sameResult(resA, resB) {
+			if resultKey(resA) != resultKey(resB) {
 				t.Errorf("same-seed fault runs differ:\n%+v\n%+v", resA, resB)
 			}
 			if traceA != traceB {
@@ -219,7 +211,7 @@ func TestFaultReplicationMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameResult(merged, again) {
+	if resultKey(merged) != resultKey(again) {
 		t.Errorf("replicated fault runs differ:\n%+v\n%+v", merged, again)
 	}
 	var failures, kills int

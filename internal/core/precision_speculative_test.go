@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -79,7 +78,7 @@ func TestRunUntilPrecisionSpeculativeMatchesSerial(t *testing.T) {
 				t.Errorf("seed %d target %g: diagnosis differs: (%v, %g) vs (%v, %g)",
 					seed, target, spec.Converged, spec.AchievedRelative, ref.Converged, ref.AchievedRelative)
 			}
-			if a, b := fmt.Sprintf("%+v", spec.Result), fmt.Sprintf("%+v", ref.Result); a != b {
+			if a, b := resultKey(spec.Result), resultKey(ref.Result); a != b {
 				t.Errorf("seed %d target %g: merged Result differs:\n  speculative: %s\n  serial:      %s",
 					seed, target, a, b)
 			}
@@ -110,7 +109,7 @@ func TestRunUntilPrecisionCarriesAllResultFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := fmt.Sprintf("%+v", pr.Result), fmt.Sprintf("%+v", want); a != b {
+	if a, b := resultKey(pr.Result), resultKey(want); a != b {
 		t.Errorf("PrecisionResult.Result != RunReplications(%d):\n  precision:    %s\n  replications: %s",
 			pr.Replications, a, b)
 	}

@@ -58,7 +58,7 @@ func poissonRow(name string, cfg Config, observe bool) sameSeedRow {
 		case cfg.Decisions != nil && !strings.Contains(trace.String(), `"ev":"decision"`):
 			return nil, fmt.Errorf("%s: the trace has no decision records", name)
 		}
-		out := [][2]string{{"", fmt.Sprintf("%+v", res)}}
+		out := [][2]string{{"", resultKey(res)}}
 		if !observe {
 			return out, nil
 		}

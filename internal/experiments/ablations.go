@@ -31,8 +31,8 @@ func ReqTypes(e *Env) (string, error) {
 		jobs = append(jobs, curveJob{
 			label: rt.String(),
 			grid:  e.Utilizations,
-			fn: func(u float64) (core.Result, error) {
-				return e.pointTyped(CurveSpec{
+			config: func(u float64) core.Config {
+				return e.typedConfig(CurveSpec{
 					Policy:       "GS",
 					ClusterSizes: MulticlusterSizes,
 					Spec:         spec,
@@ -63,11 +63,11 @@ func ReqTypes(e *Env) (string, error) {
 	return b.String(), nil
 }
 
-// pointTyped is Point with a request type.
-func (e *Env) pointTyped(cs CurveSpec, rt workload.RequestType, util float64) (core.Result, error) {
+// typedConfig is pointConfig with a request type.
+func (e *Env) typedConfig(cs CurveSpec, rt workload.RequestType, util float64) core.Config {
 	cfg := e.pointConfig(cs, util)
 	cfg.RequestType = rt
-	return e.runPoint(cfg)
+	return cfg
 }
 
 // FitRules compares Worst Fit (the paper's rule) with First Fit and Best

@@ -56,7 +56,7 @@ func Checkpoint(e *Env) (string, error) {
 		jobs[pi] = curveJob{
 			label: pol + " checkpoint",
 			grid:  checkpointIntervalGrid,
-			fn: func(interval float64) (core.Result, error) {
+			config: func(interval float64) core.Config {
 				fs := &faults.Spec{
 					MTBF:               mtbf,
 					MTTR:               mttr,
@@ -64,7 +64,7 @@ func Checkpoint(e *Env) (string, error) {
 					RetryCap:           e.FaultRetryCap,
 					CheckpointInterval: interval,
 				}
-				return e.FaultPoint(cs, util, fs)
+				return e.faultConfig(cs, util, fs)
 			},
 		}
 	}

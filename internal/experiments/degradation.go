@@ -63,7 +63,7 @@ func Degradation(e *Env) (string, error) {
 		jobs[pi] = curveJob{
 			label: pol + " degradation",
 			grid:  faultMTBFGrid,
-			fn: func(mtbf float64) (core.Result, error) {
+			config: func(mtbf float64) core.Config {
 				var fs *faults.Spec
 				if mtbf > 0 {
 					fs = &faults.Spec{
@@ -74,7 +74,7 @@ func Degradation(e *Env) (string, error) {
 						CheckpointInterval: e.FaultCheckpointInterval,
 					}
 				}
-				return e.FaultPoint(cs, util, fs)
+				return e.faultConfig(cs, util, fs)
 			},
 		}
 	}

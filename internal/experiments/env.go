@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/core"
@@ -68,9 +69,10 @@ type Params struct {
 	BacklogWarmup, BacklogMeasure float64
 	// DataDir, when non-empty, receives one CSV file per experiment.
 	DataDir string
-	// Progress, when non-nil, receives one line per completed sweep
-	// point — the long sweeps behind the figures otherwise run for
-	// minutes with no output.
+	// Progress, when non-nil, receives one line per sweep point run —
+	// the long sweeps behind the figures otherwise run for minutes with
+	// no output. A point that repeats another curve's, or that the Env
+	// already ran, is not run again and prints no line.
 	Progress io.Writer
 	// Observer, when non-nil, receives the metrics (and optional trace)
 	// of every simulation run. An Observer is single-threaded, so sweeps
@@ -145,10 +147,15 @@ func grid(lo, hi, step float64) []float64 {
 }
 
 // Env bundles the parameters with the workload distributions derived from
-// the synthetic DAS trace; all experiments share one Env.
+// the synthetic DAS trace; all experiments share one Env. The Env keeps
+// the Result of every sweep point it ran, so a point that recurs in a
+// later experiment is not run again (see pointKey).
 type Env struct {
 	Params
 	Derived workload.Derived
+
+	mu   sync.Mutex               // guards done
+	done map[pointKey]core.Result // every finished keyed point
 }
 
 // NewEnv derives the canonical workload and returns a ready environment.
@@ -199,8 +206,8 @@ func (e *Env) curveJobs(specs []CurveSpec) []curveJob {
 		jobs[i] = curveJob{
 			label: cs.Label,
 			grid:  e.Utilizations,
-			fn: func(u float64) (core.Result, error) {
-				return e.point(cs, u)
+			config: func(u float64) core.Config {
+				return e.pointConfig(cs, u)
 			},
 		}
 	}
@@ -270,13 +277,10 @@ func (e *Env) netSeries(label string, results []core.Result) (gross, net plot.Se
 	return gross, net
 }
 
-// Point runs one configuration at one offered gross utilization.
+// Point runs one configuration at one offered gross utilization, or
+// returns its Result from an earlier run in this Env.
 func (e *Env) Point(cs CurveSpec, util float64) (core.Result, error) {
-	return e.point(cs, util)
-}
-
-func (e *Env) point(cs CurveSpec, util float64) (core.Result, error) {
-	return e.runPoint(e.pointConfig(cs, util))
+	return e.run(e.pointConfig(cs, util))
 }
 
 // runPoint runs one point's replications: a fixed count by default, or
@@ -323,14 +327,15 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	}
 }
 
-// FaultPoint is Point with fault injection (nil fs = fault-free). Every
-// rate at this point draws the same jobs from the workload streams, and
-// failure draws come from their own streams, so the whole degradation grid
-// runs on a common job sequence and differences are purely the failures.
-func (e *Env) FaultPoint(cs CurveSpec, util float64, fs *faults.Spec) (core.Result, error) {
+// faultConfig is pointConfig with fault injection (nil fs = fault-free).
+// Every rate at this point draws the same jobs from the workload streams,
+// and failure draws come from their own streams, so the whole degradation
+// grid runs on a common job sequence and differences are purely the
+// failures.
+func (e *Env) faultConfig(cs CurveSpec, util float64, fs *faults.Spec) core.Config {
 	cfg := e.pointConfig(cs, util)
 	cfg.Faults = fs
-	return e.runPoint(cfg)
+	return cfg
 }
 
 // SaveCSV writes the series of an experiment to DataDir (when configured).

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,9 +236,9 @@ func TestRunSetOrderAndErrors(t *testing.T) {
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
 	grid := []float64{0.2, 0.3, 0.4}
-	out, err := runSet([]curveJob{{grid: grid, fn: func(u float64) (core.Result, error) {
-		return env.point(cs, u)
-	}}}, nil)
+	out, err := env.runSet([]curveJob{{grid: grid, config: func(u float64) core.Config {
+		return env.pointConfig(cs, u)
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +254,14 @@ func TestRunSetOrderAndErrors(t *testing.T) {
 		}
 	}
 	// Errors propagate.
-	_, err = runSet([]curveJob{{grid: grid, fn: func(u float64) (core.Result, error) {
+	_, err = env.runSet([]curveJob{{grid: grid, config: func(u float64) core.Config {
+		cfg := env.pointConfig(cs, u)
 		if u == 0.3 {
-			return core.Result{}, errSentinel
+			cfg.Policy = "bogus"
 		}
-		return core.Result{}, nil
-	}}}, nil)
-	if err != errSentinel {
+		return cfg
+	}}})
+	if err == nil || !strings.Contains(err.Error(), `unknown policy "bogus"`) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }
@@ -279,7 +279,7 @@ func TestTypedPointsKeepEnvSettings(t *testing.T) {
 		Spec:         env.MultiSpec(16, env.Derived.Sizes128),
 	}
 	for _, rt := range []workload.RequestType{workload.Unordered, workload.Ordered, workload.Flexible} {
-		res, err := env.pointTyped(cs, rt, 0.4)
+		res, err := env.runPoint(env.typedConfig(cs, rt, 0.4))
 		if err != nil {
 			t.Fatalf("%s: %v", rt, err)
 		}
@@ -288,8 +288,6 @@ func TestTypedPointsKeepEnvSettings(t *testing.T) {
 		}
 	}
 }
-
-var errSentinel = errors.New("sentinel")
 
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	// The parallel sweep must produce byte-identical curves to a serial
@@ -309,7 +307,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	par := curves[0]
 	var serial plot.Series
 	for _, u := range env.Utilizations {
-		res, err := env.point(cs, u)
+		res, err := env.runPoint(env.pointConfig(cs, u))
 		if err != nil {
 			t.Fatal(err)
 		}

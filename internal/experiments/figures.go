@@ -190,8 +190,8 @@ func Fig4(e *Env) (string, error) {
 // configuration is still stable — "chosen so that at least one of the
 // policies approaches saturation". The grid points run concurrently.
 func (e *Env) saturationUtil(cs CurveSpec) (float64, error) {
-	results, err := e.sweep(cs.Label+" (saturation scan)", e.Utilizations, func(u float64) (core.Result, error) {
-		return e.Point(cs, u)
+	results, err := e.sweep(cs.Label+" (saturation scan)", e.Utilizations, func(u float64) core.Config {
+		return e.pointConfig(cs, u)
 	})
 	if err != nil {
 		return 0, err

@@ -19,11 +19,11 @@ import (
 // results are consumed per curve in grid order.
 
 // curveJob is one curve's worth of sweep points: a labelled grid and the
-// function that runs one point.
+// function that builds the run configuration of one point.
 type curveJob struct {
-	label string
-	grid  []float64
-	fn    func(u float64) (core.Result, error)
+	label  string
+	grid   []float64
+	config func(u float64) core.Config
 }
 
 // progress serializes the per-point progress lines and tracks the
@@ -83,66 +83,123 @@ func (p *progress) skip(n int) {
 	p.mu.Unlock()
 }
 
-// runSet runs every (curve, point) task of the job set on the shared
-// workpool and returns each curve's results in grid order. Tasks are
-// enumerated up front and claimed in descending grid-index order (the
-// expected-longest points first), interleaving the curves, so the pool
-// drains the whole figure without per-curve barriers: one slow curve
-// never idles the workers the other curves could use. Each curve keeps
-// its own stop marker: when a point saturates or fails, points of that
-// curve at or beyond it are never started, and the wasted work is bounded
+// runSet runs every distinct (curve, point) task of the job set on the
+// shared workpool and returns each curve's results in grid order. Points
+// this Env already ran are filled in first, and points with equal keys
+// (pointKey) become one task whose Result goes to every curve that asked,
+// so each distinct point runs once and no worker ever waits on another's
+// run. Tasks are enumerated up front and claimed in descending grid-index
+// order (the expected-longest points first), interleaving the curves, so
+// the pool drains the whole figure without per-curve barriers: one slow
+// curve never idles the workers the other curves could use. Each curve
+// keeps its own stop marker: when a point saturates or fails, points of
+// that curve at or beyond it are not needed, and a task none of whose
+// curves needs it any more is never started; the wasted work is bounded
 // by the points already in flight. Each returned slice may therefore be
 // shorter than its grid; it always extends at least through the curve's
 // first saturated point, because the marker only ever shrinks to just
 // past a completed point — every index below the final marker ran.
-func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
+func (e *Env) runSet(jobs []curveJob) ([][]core.Result, error) {
+	type point struct {
+		cfg    core.Config
+		key    pointKey
+		keyed  bool
+		filled bool // Result from an earlier run of this Env
+		task   int  // index into tasks, or -1
+	}
+	type task struct {
+		pt      *point
+		targets [][2]int     // (curve, grid index) pairs that want the Result
+		live    atomic.Int64 // targets still below their curve's marker
+	}
+	pts := make([][]point, len(jobs))
 	results := make([][]core.Result, len(jobs))
 	errs := make([][]error, len(jobs))
 	stopAt := make([]atomic.Int64, len(jobs))
 	maxLen := 0
 	for c := range jobs {
 		n := len(jobs[c].grid)
+		pts[c] = make([]point, n)
 		results[c] = make([]core.Result, n)
 		errs[c] = make([]error, n)
-		stopAt[c].Store(int64(n))
+		stop := n // a saturated hit ends the curve, as a saturated run would
+		for i := 0; i < stop; i++ {
+			p := &pts[c][i]
+			p.cfg, p.task = jobs[c].config(jobs[c].grid[i]), -1
+			p.key, p.keyed = e.pointKey(p.cfg)
+			if !p.keyed {
+				continue
+			}
+			if results[c][i], p.filled = e.recall(p.key); p.filled && results[c][i].Saturated {
+				stop = i + 1
+			}
+		}
+		stopAt[c].Store(int64(stop))
 		if n > maxLen {
 			maxLen = n
 		}
 	}
-	type task struct{ c, i int }
-	tasks := make([]task, 0, maxLen*len(jobs))
+	var tasks []*task
+	byKey := make(map[pointKey]int)
 	for i := maxLen - 1; i >= 0; i-- {
 		for c := range jobs {
-			if i < len(jobs[c].grid) {
-				tasks = append(tasks, task{c, i})
+			p := &pts[c][i]
+			if int64(i) >= stopAt[c].Load() || p.filled {
+				continue
 			}
+			k, seen := byKey[p.key]
+			if !p.keyed || !seen {
+				k = len(tasks)
+				tasks = append(tasks, &task{pt: p})
+				if p.keyed {
+					byKey[p.key] = k
+				}
+			}
+			p.task = k
+			tasks[k].targets = append(tasks[k].targets, [2]int{c, i})
+			tasks[k].live.Add(1)
 		}
 	}
+	prog := newProgress(e.Progress, len(tasks))
 	workpool.Do(len(tasks), func(k int) {
 		t := tasks[k]
-		job := &jobs[t.c]
-		if int64(t.i) >= stopAt[t.c].Load() {
+		if t.live.Load() == 0 {
 			return
 		}
-		res, err := job.fn(job.grid[t.i])
-		results[t.c][t.i], errs[t.c][t.i] = res, err
-		if err != nil || res.Saturated {
+		res, err := e.runPoint(t.pt.cfg)
+		if t.pt.keyed && err == nil {
+			e.remember(t.pt.key, res)
+		}
+		for n, tg := range t.targets {
+			c, i := tg[0], tg[1]
+			results[c][i], errs[c][i] = res, err
+			if n > 0 {
+				results[c][i] = cloneResult(res)
+			}
+			if err == nil && !res.Saturated {
+				continue
+			}
 			// Shrink the curve's marker to min(marker, i+1) and retire
-			// the newly cut points from the effective progress count —
-			// before printing this point, so its line already shows the
-			// shrunken denominator.
+			// the tasks no curve needs any more from the effective
+			// progress count — before printing this point, so its line
+			// already shows the shrunken denominator.
 			for {
-				cur := stopAt[t.c].Load()
-				if cur <= int64(t.i)+1 {
+				cur := stopAt[c].Load()
+				if cur <= int64(i)+1 {
 					break
 				}
-				if stopAt[t.c].CompareAndSwap(cur, int64(t.i)+1) {
-					prog.skip(int(cur) - (t.i + 1))
+				if stopAt[c].CompareAndSwap(cur, int64(i)+1) {
+					for j := i + 1; j < int(cur); j++ {
+						if o := pts[c][j].task; o >= 0 && tasks[o].live.Add(-1) == 0 {
+							prog.skip(1)
+						}
+					}
 					break
 				}
 			}
 		}
-		prog.point(job.label, job.grid[t.i], res, err)
+		c, i := t.targets[0][0], t.targets[0][1]
+		prog.point(jobs[c].label, jobs[c].grid[i], res, err)
 	})
 	// Consume per curve in grid order; the first error in curve-then-grid
 	// order wins, deterministically.
@@ -164,23 +221,19 @@ func runSet(jobs []curveJob, prog *progress) ([][]core.Result, error) {
 
 // sweepSet runs a set of curves and returns each curve's results in grid
 // order: all on runSet at once, or — with an Observer attached, which is
-// single-threaded — serially in grid order. Both paths produce identical
-// result sets, so the rendered figures are byte-identical (pinned by a
-// guardrail test).
+// single-threaded — serially in grid order, every point run afresh. Both
+// paths produce identical result sets, so the rendered figures are
+// byte-identical (pinned by a guardrail test).
 func (e *Env) sweepSet(jobs []curveJob) ([][]core.Result, error) {
 	if e.Observer == nil {
-		total := 0
-		for c := range jobs {
-			total += len(jobs[c].grid)
-		}
-		return runSet(jobs, newProgress(e.Progress, total))
+		return e.runSet(jobs)
 	}
 	out := make([][]core.Result, len(jobs))
 	for c := range jobs {
 		job := &jobs[c]
 		prog := newProgress(e.Progress, len(job.grid))
 		for i, u := range job.grid {
-			res, err := job.fn(u)
+			res, err := e.runPoint(job.config(u))
 			if err != nil {
 				prog.point(job.label, u, res, err)
 				return nil, err
@@ -199,8 +252,8 @@ func (e *Env) sweepSet(jobs []curveJob) ([][]core.Result, error) {
 }
 
 // sweep runs one labelled curve sweep over the grid.
-func (e *Env) sweep(label string, grid []float64, fn func(util float64) (core.Result, error)) ([]core.Result, error) {
-	out, err := e.sweepSet([]curveJob{{label: label, grid: grid, fn: fn}})
+func (e *Env) sweep(label string, grid []float64, config func(util float64) core.Config) ([]core.Result, error) {
+	out, err := e.sweepSet([]curveJob{{label: label, grid: grid, config: config}})
 	if err != nil {
 		return nil, err
 	}

@@ -141,9 +141,10 @@ func TestProgressEffectiveCount(t *testing.T) {
 }
 
 // TestProgressFigureModeCountsAllCurves checks the figure-level schedule
-// reports one line per completed point across the whole job set and never
-// prints a denominator below its numerator, even with points in flight
-// when a curve's stop marker shrinks.
+// reports one line per run across the whole job set — a duplicate curve
+// adds no lines — never prints a denominator below its numerator, even
+// with points in flight when a curve's stop marker shrinks, and ends on a
+// line whose numerator equals its denominator.
 func TestProgressFigureModeCountsAllCurves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -158,11 +159,20 @@ func TestProgressFigureModeCountsAllCurves(t *testing.T) {
 	if _, err := env.CurveSet([]CurveSpec{
 		{Label: "GS", Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
 		{Label: "LS", Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
+		{Label: "GS again", Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var done, eff int
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) > 2*len(p.Utilizations) {
+		t.Errorf("%d progress lines for 2 distinct curves of %d points:\n%s",
+			len(lines), len(p.Utilizations), buf.String())
+	}
+	if strings.Contains(buf.String(), "GS again") {
+		t.Errorf("the duplicate curve ran its own points:\n%s", buf.String())
+	}
+	var done, eff int
+	for _, line := range lines {
 		open := strings.LastIndexByte(line, '(')
 		if open < 0 {
 			t.Errorf("malformed progress line %q", line)
@@ -175,6 +185,9 @@ func TestProgressFigureModeCountsAllCurves(t *testing.T) {
 		if done > eff {
 			t.Errorf("progress line %q: numerator exceeds denominator", line)
 		}
+	}
+	if done != eff || done != len(lines) {
+		t.Errorf("last progress line reads %d/%d after %d runs", done, eff, len(lines))
 	}
 }
 
