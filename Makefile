@@ -26,14 +26,12 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # lint runs go vet plus the detlint static-analysis suite, one rule per
-# hazard: the determinism and pooling invariants (nowallclock,
-# noglobalrand, nomaprange, eventretain, jobretain, scratchescape), where
-# nowallclock and the three pooling rules also report, over the
-# whole-module call graph, the call that launders the hazard through a
-# helper; discarded Close/Flush errors
-# (closecheck); and dead suppression directives (stalesuppress). `go run
-# ./cmd/mclint -help` prints the rule catalog; `-json` emits findings for
-# tooling.
+# hazard: the determinism invariants (nowallclock, noglobalrand,
+# nomaprange), where nowallclock also reports, over the whole-module call
+# graph, the call that launders a wall-clock read through a helper;
+# discarded Close/Flush errors (closecheck); and dead suppression
+# directives (stalesuppress). `go run ./cmd/mclint -help` prints the rule
+# catalog; `-json` emits findings for tooling.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"coalloc/internal/detlint"
 )
 
 // buildCommands compiles every cmd/... binary into a shared temp dir.
@@ -174,6 +176,8 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-policy", "GS-CONS", "-lookahead", "-2"}, "must be >= 1"},
 			{"mcsim", []string{"-policy", "GS", "-backlog", "-decisions"}, "-decisions"},
 			{"mcsim", []string{"-policy", "GS", "-backlog", "-metrics"}, "-backlog"},
+			{"mcsim", []string{"-checkpoint-interval", "300"}, "-checkpoint-interval"},
+			{"mcsim", []string{"-mtbf", "2000", "-backlog"}, "-backlog"},
 			{"mcsim", []string{"-policy", "GS", "-retry-base", "700"}, "retry window"},
 			{"mcexp", []string{"-quick", "-lookahead", "8", "fig1"}, "conservative backfilling"},
 			{"mcexp", []string{"-quick", "-lookahead", "-2", "backfill"}, "must be >= 1"},
@@ -210,6 +214,11 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"mcsim", []string{"-mtbf", "2000", "-mttr", "0"}, "-mttr"},
 			{"mcsim", []string{"-mtbf", "2000", "-checkpoint-interval", "Inf"}, "-checkpoint-interval"},
 			{"mcexp", []string{"-quick", "-mtbf", "Inf", "checkpoint"}, "-mtbf"},
+			{"mcexp", []string{"-quick", "-precision", "Inf", "sizeclasses"}, "-precision"},
+			{"mcexp", []string{"-quick", "-precision", "NaN", "sizeclasses"}, "-precision"},
+			{"mcexp", []string{"-quick", "-precision", "-0.1", "sizeclasses"}, "-precision"},
+			{"mcexp", []string{"-quick", "-max-reps", "-1", "sizeclasses"}, "-max-reps"},
+			{"mcexp", []string{"-quick", "-max-reps", "5", "sizeclasses"}, "-max-reps"},
 			{"mcsim", []string{"-replay", "-jobs", "-5"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-jobs", "0"}, "-jobs"},
 			{"mcsim", []string{"-replay", "-load", "0"}, "-load"},
@@ -273,6 +282,36 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Errorf("mctrace stats of a model trace:\n%s", stats)
 		}
 	})
+}
+
+// TestREADMENamesLintRules checks that the README's Linting section
+// lists exactly the detlint rule catalog, in catalog order, one
+// "- `rule`:" bullet per rule.
+func TestREADMENamesLintRules(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+	start := strings.Index(readme, "\n## Linting\n")
+	if start < 0 {
+		t.Fatal("README.md has no Linting section")
+	}
+	section := readme[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	var listed []string
+	for _, m := range regexp.MustCompile("(?m)^- `([a-z]+)`:").FindAllStringSubmatch(section, -1) {
+		listed = append(listed, m[1])
+	}
+	var rules []string
+	for _, a := range detlint.All() {
+		rules = append(rules, a.Name)
+	}
+	if strings.Join(listed, " ") != strings.Join(rules, " ") {
+		t.Errorf("README.md Linting section lists rules %v, detlint.All() has %v", listed, rules)
+	}
 }
 
 // TestREADMEMatchesTree keeps README.md in step with the tree: every

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"coalloc/internal/cliutil"
@@ -115,17 +116,14 @@ func main() {
 	if *decisions {
 		params.Decisions = &dectrace.Options{}
 	}
-	if *precision < 0 || *precision != *precision {
-		fmt.Fprintf(os.Stderr, "mcexp: -precision %g must be non-negative\n", *precision)
-		os.Exit(2)
+	if !(*precision >= 0) || math.IsInf(*precision, 1) {
+		cliutil.Failf("mcexp", "-precision %g must be a non-negative finite number (0 = fixed replication count)", *precision)
 	}
 	if *maxReps < 0 {
-		fmt.Fprintf(os.Stderr, "mcexp: -max-reps %d must be non-negative\n", *maxReps)
-		os.Exit(2)
+		cliutil.Failf("mcexp", "-max-reps %d must be non-negative", *maxReps)
 	}
 	if *maxReps > 0 && *precision == 0 {
-		fmt.Fprintf(os.Stderr, "mcexp: -max-reps only applies with -precision\n")
-		os.Exit(2)
+		cliutil.Failf("mcexp", "-max-reps only applies with -precision")
 	}
 	params.Precision = *precision
 	params.MaxReplications = *maxReps

@@ -1,6 +1,6 @@
 // Command mclint runs the detlint static-analysis suite over the module:
-// the determinism and pooling invariants the simulator's results depend
-// on, enforced as machine-checked rules (see internal/detlint).
+// the determinism invariants the simulator's results depend on, enforced
+// as machine-checked rules (see internal/detlint).
 //
 // Usage:
 //

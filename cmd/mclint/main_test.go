@@ -67,25 +67,16 @@ func runLinter(t *testing.T, bin, dir string, args ...string) (stdout, stderr st
 // violation per rule at known positions.
 var violatingModule = map[string]string{
 	"go.mod": "module coalloc\n\ngo 1.22\n",
-	"internal/sim/sim.go": `package sim
-
-type Event struct{ id int32 }
-
-type Engine struct{}
-
-func (e *Engine) After(d float64, fn func()) Event { return Event{} }
-`,
 	"internal/policies/bad.go": `package policies
 
 import (
 	"math/rand"
+	"os"
 	"time"
-
-	"coalloc/internal/sim"
 )
 
-type sched struct {
-	ev sim.Event
+func save(f *os.File) {
+	f.Close()
 }
 
 func now() int64 { return time.Now().Unix() }
@@ -97,7 +88,7 @@ func pick(m map[int]int) int {
 	return 0
 }
 
-var _ = sched{}
+var _ = save
 var _ = now
 var _ = pick
 `,
@@ -114,9 +105,9 @@ func TestEndToEndViolations(t *testing.T) {
 	badfile := filepath.FromSlash("internal/policies/bad.go")
 	for _, want := range []string{
 		badfile + ":4:2: noglobalrand:",
-		badfile + ":11:2: eventretain:",
-		badfile + ":14:27: nowallclock:",
-		badfile + ":17:2: nomaprange:",
+		badfile + ":10:2: closecheck:",
+		badfile + ":13:27: nowallclock:",
+		badfile + ":16:2: nomaprange:",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q\nstdout:\n%s", want, stdout)
@@ -135,7 +126,7 @@ func TestEndToEndViolations(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("got %d finding lines, want 4:\n%s", len(lines), stdout)
 	}
-	for i, rule := range []string{"noglobalrand", "eventretain", "nowallclock", "nomaprange"} {
+	for i, rule := range []string{"noglobalrand", "closecheck", "nowallclock", "nomaprange"} {
 		if !strings.Contains(lines[i], rule) {
 			t.Errorf("finding %d = %q, want rule %s", i, lines[i], rule)
 		}
@@ -273,8 +264,7 @@ func TestEndToEndCleanTree(t *testing.T) {
 func TestListAndHelp(t *testing.T) {
 	bin := buildLinter(t)
 	rules := []string{
-		"nowallclock", "noglobalrand", "nomaprange", "eventretain", "jobretain",
-		"scratchescape", "closecheck", "stalesuppress",
+		"nowallclock", "noglobalrand", "nomaprange", "closecheck", "stalesuppress",
 	}
 
 	stdout, _, code := runLinter(t, bin, ".", "-list")

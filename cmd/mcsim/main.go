@@ -133,7 +133,7 @@ func main() {
 	cliutil.CheckRetryWindow("mcsim", *retryBase, *retryCap)
 
 	if *ckptInterval != 0 && *mtbf <= 0 {
-		fatalf("-checkpoint-interval %g without -mtbf: checkpointing only matters when failures can kill jobs", *ckptInterval)
+		cliutil.Failf("mcsim", "-checkpoint-interval %g without -mtbf: checkpointing only matters when failures can kill jobs", *ckptInterval)
 	}
 
 	if *replay {
@@ -180,7 +180,7 @@ func main() {
 
 	if *backlog {
 		if *mtbf > 0 {
-			fatalf("-mtbf cannot be combined with -backlog (constant-backlog runs measure reliable-hardware capacity)")
+			cliutil.Failf("mcsim", "-mtbf cannot be combined with -backlog (constant-backlog runs measure reliable-hardware capacity)")
 		}
 		// These outputs only exist for open-system runs; accepting the
 		// flags here would silently drop them.

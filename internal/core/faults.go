@@ -21,9 +21,10 @@ type faultState struct {
 	// departure event of running[i]. Entries leave the registry exactly
 	// when the departure fires (untrack, from depart) or when an abort
 	// cancels it (removeAt, from abortRunning) — a handle is never held
-	// past its event's lifetime.
+	// past its event's lifetime. Were one kept, it would be inert: the
+	// kernel's handles are generation-checked (TestFiredSlotHandleGoesStale).
 	running    []*workload.Job
-	departures []sim.Event //detlint:ignore eventretain registry entries are removed when the departure fires or is cancelled; no handle outlives its event
+	departures []sim.Event
 
 	// killedPending counts jobs aborted by a failure whose resubmission
 	// backoff has not yet elapsed. They are in the system but neither
@@ -41,7 +42,7 @@ func newFaultState(spec faults.Spec, clusters int, src *rng.Source) *faultState 
 // track registers a dispatched job and its departure event.
 func (f *faultState) track(j *workload.Job, ev sim.Event) {
 	f.running = append(f.running, j)
-	f.departures = append(f.departures, ev) //detlint:ignore eventretain handle is dropped in untrack (departure fired) or removeAt (abort cancelled it)
+	f.departures = append(f.departures, ev)
 }
 
 // untrack drops a departed job from the registry. The scan runs backward:
@@ -65,8 +66,8 @@ func (f *faultState) removeAt(i int) {
 	f.running[i] = f.running[last]
 	f.running[last] = nil
 	f.running = f.running[:last]
-	f.departures[i] = f.departures[last] //detlint:ignore eventretain swap-remove keeps the moved live handle; the vacated slot is cleared below
-	f.departures[last] = sim.Event{}     //detlint:ignore eventretain zeroing the vacated slot so no stale handle is retained
+	f.departures[i] = f.departures[last]
+	f.departures[last] = sim.Event{} // no stale handle left in the vacated slot
 	f.departures = f.departures[:last]
 }
 

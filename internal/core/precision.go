@@ -76,8 +76,8 @@ func RunUntilPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 			"core: MinReplications 1 cannot estimate a confidence half-width; use at least 2, or leave it 0 for the default of 3")
 	}
 	cfg.applyDefaults()
-	if cfg.RelativePrecision <= 0 {
-		return PrecisionResult{}, fmt.Errorf("core: relative precision %g must be positive", cfg.RelativePrecision)
+	if !(cfg.RelativePrecision > 0) || math.IsInf(cfg.RelativePrecision, 1) {
+		return PrecisionResult{}, fmt.Errorf("core: relative precision %g must be a positive finite number", cfg.RelativePrecision)
 	}
 	if cfg.MinReplications < 2 || cfg.MaxReplications < cfg.MinReplications {
 		return PrecisionResult{}, fmt.Errorf("core: replication bounds %d..%d",

@@ -102,8 +102,11 @@ func TestRunUntilPrecisionValidation(t *testing.T) {
 		Policy:       "GS",
 		ArrivalRate:  0.01,
 	}
-	if _, err := RunUntilPrecision(PrecisionConfig{Run: base, RelativePrecision: 0}); err == nil {
-		t.Error("zero precision accepted")
+	// NaN would never converge and +Inf always would, at the first check.
+	for _, rp := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunUntilPrecision(PrecisionConfig{Run: base, RelativePrecision: rp}); err == nil {
+			t.Errorf("relative precision %g accepted", rp)
+		}
 	}
 	if _, err := RunUntilPrecision(PrecisionConfig{
 		Run: base, RelativePrecision: 0.1, MinReplications: 1, MaxReplications: 2,

@@ -119,7 +119,7 @@ type simulation struct {
 
 	// Fault injection (nil / unused unless Config.Faults is enabled; the
 	// fault-free hot path pays one nil compare per departure).
-	flt      *faultState //detlint:ignore eventretain the registry inside drops each handle when its departure fires or is cancelled (see faultState)
+	flt      *faultState
 	availCap stats.TimeWeighted
 
 	// The job source, and the state only the backlog and replay sources

@@ -7,10 +7,8 @@ import (
 	"sync"
 )
 
-// callGraph is the whole-module call graph the interprocedural checks
-// (the taint closure of nowallclock, the escape summaries of
-// eventretain, jobretain and scratchescape) run their dataflow passes
-// over.
+// callGraph is the whole-module call graph nowallclock's taint closure
+// (taint.go) propagates over.
 //
 // Nodes are the module's own functions and methods — every *types.Func
 // whose declaration (with a body) was loaded. Edges are resolved
@@ -26,12 +24,11 @@ import (
 //     resolve to nothing. This is the deliberate precision limit: the
 //     module's hot paths call through interfaces (policies.Ctx,
 //     policies.Policy), not function tables, and the few func-typed hooks
-//     (sim event closures, workpool bodies) never carry the facts these
-//     analyzers track. DESIGN.md §14 documents the gap.
+//     (sim event closures, workpool bodies) never read the wall clock.
+//     DESIGN.md §14 documents the gap.
 //
-// The graph is built once per Run (inside Module.buildFacts) and is
-// immutable afterwards, so the per-package analyzer goroutines can share
-// it without locks.
+// The graph is built once per Run and is immutable afterwards, so the
+// per-package analyzer goroutines can share it without locks.
 type callGraph struct {
 	mod *Module
 

@@ -1,12 +1,14 @@
 // Package detlint is a small static-analysis framework that enforces the
-// simulator's determinism and pooling invariants.
+// simulator's determinism invariants.
 //
 // The paper's results rest on bit-reproducible trace-driven simulation:
-// parallel replications must be byte-identical to the serial loop, and the
-// pooled event arena in internal/sim makes retained sim.Event handles a
-// use-after-release hazard. Those invariants used to be enforced only by
-// convention; detlint turns them into machine-checked rules that run on
-// every `make verify` (see cmd/mclint).
+// parallel replications must be byte-identical to the serial loop. That
+// invariant used to be enforced only by convention; detlint turns the
+// hazards that break it into machine-checked rules that run on every
+// `make verify` (see cmd/mclint). Pooled memory (event handles, arena
+// jobs, pass scratch) is checked by measurement instead: the kernel's
+// generation-checked handles, the same-seed matrix and the
+// poisoned-scratch differential (DESIGN.md §14).
 //
 // The framework is deliberately built on the standard library alone —
 // go/ast, go/parser, go/token and go/types, with stdlib dependencies
@@ -16,11 +18,11 @@
 //
 // # Rules
 //
-// Eight analyzers ship with the framework (see All), one per hazard.
-// Where a hazard can be laundered through a helper in a file the direct
-// check does not cover, its rule reports both the direct use and,
-// through a whole-module call graph over go/types (see callgraph.go and
-// DESIGN.md §14), the call site that reaches it:
+// Five analyzers ship with the framework (see All), one per hazard.
+// A wall-clock read can be laundered through a helper in a file the
+// direct check does not cover, so nowallclock reports both the direct use
+// and, through a whole-module call graph over go/types (see callgraph.go
+// and DESIGN.md §14), the call site that reaches it:
 //
 //   - nowallclock: no wall-clock time (time.Now, time.Since, time.Sleep,
 //     ...) in deterministic packages, and no call there to a module
@@ -33,18 +35,6 @@
 //   - nomaprange: no ranging over maps in deterministic packages unless
 //     the loop only collects the keys into a slice that is sorted before
 //     use, or the site carries a suppression.
-//   - eventretain: no storing sim.Event handles into struct fields,
-//     slices, maps, channels or package-level variables, and no passing
-//     one to a function that does; pooled handles go stale once the
-//     event fires or is cancelled.
-//   - jobretain: no storing arena-owned workload.Job handles in
-//     package-level variables or channels, and no passing one to a
-//     function that does; the per-run arena recycles every job when the
-//     run ends.
-//   - scratchescape: retaining a slice obtained from
-//     policies.Ctx.Scratch() (or from a //detlint:scratch function) in a
-//     field, global or element, or returning it across the exported API
-//     boundary; scratch lifetime ends when the scheduling pass returns.
 //   - closecheck: a statement-level Close() or Flush() call whose error
 //     result is discarded; on buffered writers the Close error is the
 //     write error.
@@ -64,14 +54,6 @@
 // The reason is mandatory: a suppression documents *why* the invariant
 // holds at that site. Malformed directives (missing reason, unknown rule)
 // are themselves reported under the pseudo-rule "detlint".
-//
-// # Annotations
-//
-// One function annotation extends the rule set. It goes in the function's
-// doc comment (or on the line directly above the declaration):
-//
-//	//detlint:scratch — the function returns pass-scoped scratch storage;
-//	  scratchescape tracks its results like Ctx.Scratch() slices
 package detlint
 
 import (
@@ -86,8 +68,8 @@ import (
 
 // Analyzer is one lint rule: a stable identifier, a one-line description
 // (shown by `mclint -help`), and a function applied to each loaded
-// package. Run builds the whole-module dataflow facts (call graph,
-// wall-clock taint, escape summaries) before any analyzer's Run executes.
+// package. Run builds the whole-module call graph and wall-clock taint
+// before any analyzer's Run executes.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -97,8 +79,7 @@ type Analyzer struct {
 // All returns the full rule set in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoWallClock, NoGlobalRand, NoMapRange, EventRetain, JobRetain,
-		ScratchEscape, CloseCheck, StaleSuppress,
+		NoWallClock, NoGlobalRand, NoMapRange, CloseCheck, StaleSuppress,
 	}
 }
 
@@ -152,7 +133,8 @@ func (f Finding) String() string {
 // Pass hands one loaded package to one analyzer and collects its reports.
 // Analyzer Runs for different packages execute concurrently; a Pass and
 // its findings slice are confined to one goroutine, and the Module
-// (including its facts) is immutable during the analysis phase.
+// (including its call graph and taint) is immutable during the analysis
+// phase.
 type Pass struct {
 	Analyzer *Analyzer
 	Module   *Module
@@ -220,9 +202,10 @@ func Run(cfg Config) ([]Finding, error) {
 	}
 	sup, bad := collectSuppressions(mod, pkgs, analyzers)
 	mod.sup = sup
-	annBad := collectAnnotations(mod, pkgs)
-	bad = append(bad, annBad...)
-	mod.buildFacts()
+	// The taint closure honors nowallclock directives at direct reads,
+	// so the suppressions must be parsed first.
+	mod.cg = buildCallGraph(mod)
+	mod.clock = buildTaint(mod.cg)
 
 	// Per-package analysis, in parallel. Findings are collected into a
 	// per-package slice and merged in package order; the global sort
@@ -320,7 +303,7 @@ const ignorePrefix = "detlint:ignore"
 
 // directive is one parsed //detlint:ignore comment. used is set during
 // suppression filtering when a finding the directive covers was silenced,
-// and by the dataflow engines when they honor a store-site suppression.
+// and by the taint closure when it honors a suppressed wall-clock read.
 type directive struct {
 	pos  token.Position
 	rule string
@@ -366,10 +349,10 @@ func (s *suppressions) covering(f Finding) []*directive {
 }
 
 // sanctions reports whether a directive for rule covers the given
-// position, marking matching directives used. The dataflow engines call
-// it at store and source sites: a suppressed site is documented-safe, so
-// it must not taint the functions that reach it. Only safe during the
-// single-threaded facts phase.
+// position, marking matching directives used. The taint closure calls it
+// at direct wall-clock reads: a suppressed read is documented-safe, so it
+// must not taint the functions that reach it. Only safe while Run builds
+// the taint, before the parallel analysis phase.
 func (s *suppressions) sanctions(pos token.Position, rule string) bool {
 	if s == nil {
 		return false

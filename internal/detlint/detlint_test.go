@@ -94,9 +94,8 @@ func parseWants(t *testing.T, root string) map[string]int {
 
 // TestMalformedSuppressions checks that directives without a rule,
 // without a reason, naming an unknown rule (including the retired
-// handleflow), or trying to silence the staleness reporter — plus a
-// floating //detlint:scratch annotation — are reported under the
-// pseudo-rule "detlint".
+// scratchescape and handleflow), or trying to silence the staleness
+// reporter are reported under the pseudo-rule "detlint".
 func TestMalformedSuppressions(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "badsuppress")
 	findings, err := detlint.Run(detlint.Config{Dir: dir})

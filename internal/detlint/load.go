@@ -25,15 +25,15 @@ type Module struct {
 	std  types.Importer      // stdlib resolver (shared go/importer "source")
 
 	// Filled in by Run before the analysis phase; immutable during it.
-	sup     *suppressions        // parsed //detlint:ignore directives
-	scratch map[*types.Func]bool // //detlint:scratch functions
-	facts   *moduleFacts         // call graph + dataflow summaries
+	sup   *suppressions              // parsed //detlint:ignore directives
+	cg    *callGraph                 // whole-module call graph
+	clock map[*types.Func]*taintFact // functions that reach the wall clock
 }
 
 // allPackages returns every successfully loaded package — the analysis
 // targets plus their module-internal dependencies — sorted by import
-// path. The interprocedural facts are built over this set so call chains
-// through non-target packages are still followed.
+// path. The call graph is built over this set so call chains through
+// non-target packages are still followed.
 func (m *Module) allPackages() []*Package {
 	pkgs := make([]*Package, 0, len(m.pkgs))
 	for _, p := range m.pkgs {

@@ -110,7 +110,7 @@ func directTaint(cg *callGraph, fi *funcInfo) string {
 // reaches the wall clock. nowallclock calls it only inside deterministic
 // packages.
 func reportTaintedCall(p *Pass, call *ast.CallExpr) {
-	cg, taint := p.Module.facts.cg, p.Module.facts.clock
+	cg, taint := p.Module.cg, p.Module.clock
 	for _, callee := range cg.resolveCall(p.Pkg.Info, call) {
 		t := taint[callee]
 		if t == nil {

@@ -15,10 +15,10 @@ var c = 0
 //detlint:ignore stalesuppress it reports dead directives and cannot be silenced
 var d = 0
 
-//detlint:scratch
+//detlint:ignore scratchescape the retention rules were retired
 
-// handleflow was folded into eventretain and jobretain; its name is no
-// longer a rule.
+// handleflow was folded into eventretain and jobretain, and both were
+// retired since; its name is no longer a rule.
 //
 //detlint:ignore handleflow the old call-site rule
 var e = 0

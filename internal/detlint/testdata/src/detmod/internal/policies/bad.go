@@ -1,29 +1,11 @@
 // Package policies is a fixture: internal/policies is in the
-// deterministic set, so nowallclock and nomaprange apply here, and
-// eventretain and jobretain apply everywhere outside internal/sim and
-// internal/workload respectively.
+// deterministic set, so nowallclock and nomaprange apply here.
 package policies
 
 import (
 	"sort"
 	"time"
-
-	"coalloc/internal/sim"
-	"coalloc/internal/workload"
 )
-
-type sched struct {
-	timeout sim.Event   // want eventretain
-	pending []sim.Event // want eventretain
-	limit   int
-}
-
-type wrapper struct {
-	inner sched // want eventretain
-	label string
-}
-
-var global sim.Event // want eventretain
 
 func stamp() int64 {
 	return time.Now().Unix() // want nowallclock
@@ -76,15 +58,7 @@ func firstKey(m map[string]int) string {
 	return ""
 }
 
-func retain(e *sim.Engine) {
-	var evs []sim.Event
-	evs = append(evs, e.After(1, nil)) // want eventretain
-	byID := map[int]sim.Event{}        // want eventretain
-	byID[1] = e.After(2, nil)          // want eventretain
-	_ = evs
-	_ = byID
-	_ = global
-	_ = wrapper{}
+var (
 	_ = stamp
 	_ = nap
 	_ = dur
@@ -92,31 +66,4 @@ func retain(e *sim.Engine) {
 	_ = sortedPositiveKeys
 	_ = sum
 	_ = firstKey
-}
-
-var lastJob *workload.Job       // want jobretain
-var history []*workload.Job     // want jobretain
-var doneJobs chan *workload.Job // want jobretain
-
-// queue is fine: struct fields hold jobs for the duration of the run.
-type queue struct {
-	jobs []*workload.Job
-	head int
-}
-
-// mailbox is not: a channel hands the job to another goroutine.
-type mailbox struct {
-	ch chan []*workload.Job // want jobretain
-}
-
-func leakJob(a *workload.Arena) {
-	j := a.Job()
-	ch := make(chan *workload.Job, 1) // want jobretain
-	ch <- j
-	lastJob = j
-	_ = ch
-	_ = history
-	_ = doneJobs
-	_ = queue{}
-	_ = mailbox{}
-}
+)

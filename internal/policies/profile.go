@@ -230,8 +230,7 @@ func (p *profile) ensureScratch(comps int) {
 // The returned placement is the profile's scratch buffer: it is valid
 // only until the next earliestStart call on this profile, so callers must
 // consume it (reserve, dispatch — Dispatch copies) before probing again.
-//
-//detlint:scratch
+// TestPoisonedScratchDifferential poisons it between policy calls.
 func (p *profile) earliestStart(comps []int, dur float64, fit cluster.Fit) (float64, []int) {
 	nc, S := p.nc, p.n
 	p.ensureScratch(len(comps))

@@ -18,8 +18,9 @@ import (
 //     the blocks wholesale; stale handles silently alias new jobs.
 //   - An arena belongs to exactly one run at a time. Nothing that
 //     outlives the run — results, observers, package-level state — may
-//     retain arena-owned *Job handles or slices (the detlint jobretain
-//     rule enforces the global/channel cases).
+//     retain arena-owned *Job handles or slices. TestSameSeedMatrix
+//     (internal/core) runs every row twice at once over the pooled
+//     arenas, so state shared across runs shows up as diverging results.
 //   - Arenas are not safe for concurrent use; each replication gets its
 //     own (internal/core recycles them through a sync.Pool).
 //
