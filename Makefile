@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify test bench-test bench-smoke outputs lint fmt-check
+.PHONY: verify test bench-test bench-smoke outputs outputs-diff lint fmt-check
 
 # verify is the tier-1 gate: formatting, vet, build, the detlint
 # determinism rules (cmd/mclint), the full test suite, and the test
@@ -63,7 +63,8 @@ bench-smoke:
 # the instant a job departs, so its run covers the replay tie rule (an
 # arrival is submitted before a departure at the same instant). A
 # refactor that must not change outputs runs it on the parent tree and
-# on the change and compares them with `diff -r`.
+# on the change and compares them with `diff -r`; outputs-diff (below)
+# does exactly that.
 outputs:
 	@if [ -z "$(OUT)" ]; then echo "usage: make outputs OUT=DIR"; exit 2; fi
 	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
@@ -89,3 +90,20 @@ outputs:
 	"$$bin/mcsim" -replay -policy GS-CONS -load 1 -metrics -trace "$(OUT)/replay-ties.jsonl" \
 		-schedule "$(OUT)/replay-ties-schedule.csv" "$(OUT)/ties.swf" > "$(OUT)/replay-ties.txt"; \
 	echo "outputs written to $(OUT)"
+
+# outputs-diff compares the output corpus of revision BASE (required)
+# with the working tree's: it extracts BASE with `git archive` into a
+# temporary directory, runs the outputs recipe of this Makefile there and
+# in the working tree, and `diff -r`s the two corpora. It exits non-zero
+# on any difference. Both trees run this Makefile's recipe, so the corpus
+# is the same even when BASE's Makefile predates it. Example: `make
+# outputs-diff BASE=HEAD~` after committing a change that must keep every
+# output byte-identical.
+outputs-diff:
+	@if [ -z "$(BASE)" ]; then echo "usage: make outputs-diff BASE=REV"; exit 2; fi
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar x -C "$$tmp/base"; \
+	$(MAKE) -s -C "$$tmp/base" -f "$(CURDIR)/Makefile" outputs OUT="$$tmp/base-out" > /dev/null; \
+	$(MAKE) -s outputs OUT="$$tmp/out" > /dev/null; \
+	diff -r "$$tmp/base-out" "$$tmp/out"; \
+	echo "outputs of $(BASE) and the working tree are identical"

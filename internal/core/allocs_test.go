@@ -19,7 +19,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSimulation(sys, pol, rng.NewSource(1), "core", noCount)
+	s := newSimulation(sys, pol, rng.NewSource(1), "core", noCount, false)
 	defer s.recycle()
 	s.spec = testSpec(t, 16, 4)
 	s.startMeasuring(0)
@@ -49,8 +49,9 @@ func TestDispatchZeroAlloc(t *testing.T) {
 
 // TestAllocationsFlatInRunLength pins the "off means free" contracts of
 // the fault and decision layers in a machine-independent form: with a
-// zero-rate fault spec attached, or with decision tracing off, a run's
-// allocations must not grow with the number of jobs it simulates. Queues,
+// zero-rate fault spec attached, with decision tracing off, or in a sweep
+// run that skips the command-only statistics, a run's allocations must
+// not grow with the number of jobs it simulates. Queues,
 // the event heap and the job arena reach their working size early and are
 // reused, so the marginal cost of another job is zero allocations; the
 // bound leaves room only for the occasional slice doubling. A policy
@@ -61,9 +62,11 @@ func TestAllocationsFlatInRunLength(t *testing.T) {
 	cases := []struct {
 		label string
 		fs    *faults.Spec
+		sweep bool
 	}{
-		{"faults-zero-rate", &faults.Spec{MTBF: 0, MTTR: 900}},
-		{"decisions-off", nil},
+		{"faults-zero-rate", &faults.Spec{MTBF: 0, MTTR: 900}, false},
+		{"decisions-off", nil, false},
+		{"sweep-stats", nil, true},
 	}
 	for _, policy := range []string{"GS", "LS", "LP", "GS-EASY", "GS-CONS", "GS-SPF"} {
 		for _, c := range cases {
@@ -78,6 +81,7 @@ func TestAllocationsFlatInRunLength(t *testing.T) {
 						Seed:         1,
 						Faults:       c.fs,
 						Decisions:    nil,
+						SweepStats:   c.sweep,
 					}
 					return testing.AllocsPerRun(1, func() {
 						if _, err := RunAtUtilization(cfg, 0.5); err != nil {

@@ -96,7 +96,7 @@ func RunBacklog(cfg BacklogConfig) (BacklogResult, error) {
 	if err != nil {
 		return BacklogResult{}, err
 	}
-	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "backlog", noCount)
+	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "backlog", noCount, false)
 	s.src = backlogSource
 	s.spec = cfg.Spec
 	s.backlog = cfg.Backlog

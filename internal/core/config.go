@@ -93,6 +93,15 @@ type Config struct {
 	// bit-identical to a build without the layer (the disabled path is
 	// one pointer compare per hook), pinned by a guardrail test.
 	Decisions *dectrace.Options
+	// SweepStats keeps only the statistics a sweep reads; package
+	// experiments sets it for every sweep point. The run then neither
+	// allocates nor feeds the accumulators behind the fields only the
+	// commands report: a single run's RespHalfWidth, MedianResponse,
+	// P95Response, MeanSlowdown, MeanJobsInSystem and
+	// UtilizationImbalance are NaN and PerClusterUtilization is nil. Every
+	// other field, and the run's event sequence, is bit-identical to the
+	// same run with it off (DESIGN.md section 8).
+	SweepStats bool
 }
 
 func (c *Config) applyDefaults() {
@@ -305,7 +314,8 @@ type Result struct {
 	// seconds; the paper's main metric.
 	MeanResponse float64
 	// RespHalfWidth is the 95% confidence half-width of MeanResponse
-	// (batch means within a run; across replications when merged).
+	// (batch means within a run; across replications when merged). NaN
+	// for a single run under Config.SweepStats.
 	RespHalfWidth float64
 	// MeanResponseLocal and MeanResponseGlobal break the mean down by
 	// queue type; either may be NaN when the policy lacks that queue
@@ -313,12 +323,14 @@ type Result struct {
 	MeanResponseLocal  float64
 	MeanResponseGlobal float64
 	// MedianResponse and P95Response are streaming (P-squared) estimates
-	// of the response-time distribution's 50th and 95th percentiles.
+	// of the response-time distribution's 50th and 95th percentiles. NaN
+	// under Config.SweepStats.
 	MedianResponse float64
 	P95Response    float64
 	// MeanSlowdown is the mean bounded slowdown,
 	// max(1, response / max(service, 10 s)), the standard job-scheduling
-	// metric that caps the influence of very short jobs.
+	// metric that caps the influence of very short jobs. NaN under
+	// Config.SweepStats.
 	MeanSlowdown float64
 	// GrossUtilization is the measured time-average fraction of busy
 	// processors (extended service times — includes wide-area
@@ -353,16 +365,17 @@ type Result struct {
 	// MeanJobsInSystem is the time-average number of jobs present
 	// (queued or running) over the measurement window. By Little's law
 	// it equals throughput times mean response time in steady state —
-	// an end-to-end consistency check the tests enforce.
+	// an end-to-end consistency check the tests enforce. NaN under
+	// Config.SweepStats.
 	MeanJobsInSystem float64
 	// Throughput is the measured departure rate in jobs per second.
 	Throughput float64
 	// PerClusterUtilization is the measured gross utilization of each
 	// cluster over the window — the imbalance view behind the paper's
-	// balanced/unbalanced comparison.
+	// balanced/unbalanced comparison. Nil under Config.SweepStats.
 	PerClusterUtilization []float64
 	// UtilizationImbalance is the spread max - min of the per-cluster
-	// utilizations.
+	// utilizations. NaN under Config.SweepStats.
 	UtilizationImbalance float64
 	// Fault-injection outcomes (zero when Config.Faults is nil). The
 	// counts cover the whole run, warmup included — failures do not stop

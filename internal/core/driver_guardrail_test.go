@@ -22,7 +22,7 @@ const driverDigestsFile = "testdata/driver_digests.txt"
 
 // driverPolicies are the policies the driver guardrail replays and runs
 // under constant backlog; SC runs on a single 128-processor cluster.
-var driverPolicies = []string{"GS", "LS", "LP", "GS-EASY", "GS-CONS", "SC"}
+var driverPolicies = []string{"GS", "LS", "LP", "GS-EASY", "GS-CONS", "SC", "GS-SPF", "LS-sorted"}
 
 func digest(s string) string {
 	sum := sha256.Sum256([]byte(s))

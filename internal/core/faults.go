@@ -134,9 +134,7 @@ func (s *simulation) abortRunning(idx, c int, now float64) {
 	saved := (kept - j.Checkpointed) * float64(j.TotalSize)
 	s.m.Release(j.Components, j.Placement)
 	s.busy.Set(now, float64(s.m.Busy()))
-	for i, pc := range j.Placement {
-		s.busyPer[pc].Add(now, -float64(j.Components[i]))
-	}
+	s.cmd.occupy(now, j, -1)
 	if s.measuring && j.StartTime >= s.measureFrom {
 		// Dispatch charged the remaining service to the utilization
 		// integrals; the job will be recharged when it is dispatched again.

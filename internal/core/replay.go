@@ -220,7 +220,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		return ReplayResult{}, err
 	}
 
-	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "replay", noCount)
+	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "replay", noCount, false)
 	s.src = replaySource
 	s.feed = newReplayFeed(&cfg)
 	s.observe(cfg.Observer)
@@ -246,9 +246,9 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		Policy:         cfg.Policy,
 		Jobs:           int(s.respAll.N()),
 		MeanResponse:   s.respAll.Mean(),
-		MedianResponse: s.quantiles.Q50.Value(),
-		P95Response:    s.quantiles.Q95.Value(),
-		MeanSlowdown:   s.slowdown.Mean(),
+		MedianResponse: s.cmd.quantiles.Q50.Value(),
+		P95Response:    s.cmd.quantiles.Q95.Value(),
+		MeanSlowdown:   s.cmd.slowdown.Mean(),
 		// A drained replay ends on a departure: the clock stands at the
 		// last finish time.
 		Makespan: s.eng.Now() - start,

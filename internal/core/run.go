@@ -103,15 +103,11 @@ type simulation struct {
 	cutoffFired  bool
 
 	busy        stats.TimeWeighted
-	busyPer     []stats.TimeWeighted
-	inSystem    stats.TimeWeighted
 	respAll     stats.Welford
 	respLocal   stats.Welford
 	respGlobal  stats.Welford
 	respByClass []stats.Welford
-	slowdown    stats.Welford
-	quantiles   *stats.QuantileSet
-	batch       *stats.BatchMeans
+	cmd         *cmdStats // nil in a sweep run (Config.SweepStats)
 	grossWork   float64
 	netWork     float64
 	measureFrom float64
@@ -138,12 +134,75 @@ type simulation struct {
 
 var _ policies.Ctx = (*simulation)(nil)
 
+// cmdStats holds the accumulators behind the Result fields that only the
+// commands report: the per-cluster busy integrals, the jobs in system,
+// bounded slowdown, the P-squared quantiles and the batch means. A sweep
+// run (Config.SweepStats) has none, and every method is a no-op on nil.
+type cmdStats struct {
+	busyPer   []stats.TimeWeighted
+	inSystem  stats.TimeWeighted
+	slowdown  stats.Welford
+	quantiles *stats.QuantileSet
+	batch     *stats.BatchMeans
+}
+
+func newCmdStats(clusters, measureJobs int) *cmdStats {
+	return &cmdStats{
+		busyPer:   make([]stats.TimeWeighted, clusters),
+		quantiles: stats.NewQuantileSet(),
+		batch:     stats.NewBatchMeans(max(int64(measureJobs/30), 1)),
+	}
+}
+
+// occupy adds sign times j's components to the busy integrals of the
+// clusters j is placed on: +1 when it starts, -1 when it leaves them.
+func (c *cmdStats) occupy(now float64, j *workload.Job, sign float64) {
+	if c == nil {
+		return
+	}
+	for i, pc := range j.Placement {
+		c.busyPer[pc].Add(now, sign*float64(j.Components[i]))
+	}
+}
+
+// enter adds dn jobs to the jobs-in-system integral.
+func (c *cmdStats) enter(now, dn float64) {
+	if c != nil {
+		c.inSystem.Add(now, dn)
+	}
+}
+
+// measure records the response time r of a measured departure.
+func (c *cmdStats) measure(r, service float64) {
+	if c == nil {
+		return
+	}
+	c.batch.Add(r)
+	c.quantiles.Add(r)
+	c.slowdown.Add(boundedSlowdown(r, service))
+}
+
+// startMeasuring restarts the integrals and the response statistics at
+// the end of the warmup period; the batch means are fed only while
+// measuring, so they need no restart.
+func (c *cmdStats) startMeasuring(now float64) {
+	if c == nil {
+		return
+	}
+	for i := range c.busyPer {
+		c.busyPer[i].StartAt(now, c.busyPer[i].Level())
+	}
+	c.inSystem.StartAt(now, c.inSystem.Level())
+	c.slowdown.Reset()
+	c.quantiles.Reset()
+}
+
 // newSimulation wires the part of a run every job source shares; pol
 // comes from sys.build. The sampling and routing streams are named
 // streams+"/sizes", "/services" and "/routing" — each source keeps its own
 // names, so its outputs do not depend on the others. measureJobs arms the
 // count stop rule (noCount leaves it off); the warmup count starts off.
-func newSimulation(sys system, pol policies.Policy, src *rng.Source, streams string, measureJobs int) *simulation {
+func newSimulation(sys system, pol policies.Policy, src *rng.Source, streams string, measureJobs int, sweep bool) *simulation {
 	s := &simulation{
 		eng:         sim.New(),
 		m:           cluster.New(sys.clusters),
@@ -157,10 +216,10 @@ func newSimulation(sys system, pol policies.Policy, src *rng.Source, streams str
 		routeCDF:    routingCDF(sys.weights, len(sys.clusters)),
 		warmupJobs:  noCount,
 		measureJobs: measureJobs,
-		busyPer:     make([]stats.TimeWeighted, len(sys.clusters)),
 		respByClass: make([]stats.Welford, len(SizeClassBounds)),
-		batch:       stats.NewBatchMeans(max(int64(measureJobs/30), 1)),
-		quantiles:   stats.NewQuantileSet(),
+	}
+	if !sweep {
+		s.cmd = newCmdStats(len(sys.clusters), measureJobs)
 	}
 	s.eng.SetHandler(s.handleEvent)
 	s.busy.StartAt(0, 0)
@@ -239,9 +298,7 @@ func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	s.dec.Dispatch(now, j, s.m, s.fit, placement)
 	s.m.Alloc(j.Components, placement)
 	s.busy.Set(now, float64(s.m.Busy()))
-	for i, c := range placement {
-		s.busyPer[c].Add(now, float64(j.Components[i]))
-	}
+	s.cmd.occupy(now, j, 1)
 	// A checkpointed resubmission runs only its remainder and charges the
 	// utilization integrals pro rata. The branch keeps the fault-free path
 	// literally unchanged — Checkpointed is only ever nonzero when the
@@ -314,18 +371,14 @@ func (s *simulation) depart(j *workload.Job) {
 	s.obs.Departure(now, j.ID, j.ResponseTime())
 	s.m.Release(j.Components, j.Placement)
 	s.busy.Set(now, float64(s.m.Busy()))
-	for i, c := range j.Placement {
-		s.busyPer[c].Add(now, -float64(j.Components[i]))
-	}
-	s.inSystem.Add(now, -1)
+	s.cmd.occupy(now, j, -1)
+	s.cmd.enter(now, -1)
 	s.finished++
 	if s.measuring {
 		r := j.ResponseTime()
 		s.respAll.Add(r)
-		s.batch.Add(r)
-		s.quantiles.Add(r)
+		s.cmd.measure(r, j.ServiceTime)
 		s.respByClass[SizeClass(j.TotalSize)].Add(r)
-		s.slowdown.Add(boundedSlowdown(r, j.ServiceTime))
 		if j.Queue == workload.GlobalQueue {
 			s.respGlobal.Add(r)
 		} else {
@@ -397,18 +450,13 @@ func (s *simulation) startMeasuring(now float64) {
 	s.measuring = true
 	s.measureFrom = now
 	s.busy.StartAt(now, float64(s.m.Busy()))
-	for c := range s.busyPer {
-		s.busyPer[c].StartAt(now, s.busyPer[c].Level())
-	}
-	s.inSystem.StartAt(now, s.inSystem.Level())
+	s.cmd.startMeasuring(now)
 	s.respAll.Reset()
 	s.respLocal.Reset()
 	s.respGlobal.Reset()
 	for i := range s.respByClass {
 		s.respByClass[i].Reset()
 	}
-	s.slowdown.Reset()
-	s.quantiles.Reset()
 	s.grossWork, s.netWork = 0, 0
 	s.queueAtWarm = s.pol.Queued()
 	if s.flt != nil {
@@ -463,7 +511,7 @@ func (s *simulation) submit(j *workload.Job) {
 	now := s.eng.Now()
 	j.ArrivalTime = now
 	s.obs.Arrival(now, j.ID, j.TotalSize, j.Components, j.Queue)
-	s.inSystem.Add(now, 1)
+	s.cmd.enter(now, 1)
 	s.pol.Submit(s, j)
 	if s.src == replaySource {
 		if q := s.pol.Queued(); q > s.maxQueue {
@@ -494,7 +542,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	src := rng.NewSource(cfg.Seed)
-	s := newSimulation(cfg.system(), pol, src, "core", cfg.MeasureJobs)
+	s := newSimulation(cfg.system(), pol, src, "core", cfg.MeasureJobs, cfg.SweepStats)
 	s.spec = cfg.Spec
 	s.warmupJobs = cfg.WarmupJobs
 	s.arrivalRate = cfg.ArrivalRate
@@ -538,12 +586,8 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		Policy:             cfg.Policy,
 		MeanResponse:       s.respAll.Mean(),
-		RespHalfWidth:      s.batch.HalfWidth(),
 		MeanResponseLocal:  meanOrNaN(&s.respLocal),
 		MeanResponseGlobal: meanOrNaN(&s.respGlobal),
-		MedianResponse:     s.quantiles.Q50.Value(),
-		P95Response:        s.quantiles.Q95.Value(),
-		MeanSlowdown:       s.slowdown.Mean(),
 		ResponseBySizeClass: func() []float64 {
 			out := make([]float64, len(s.respByClass))
 			for i := range s.respByClass {
@@ -559,18 +603,9 @@ func Run(cfg Config) (Result, error) {
 	if window > 0 {
 		res.GrossUtilization = s.busy.Average(now) / capacity
 		res.NetUtilization = s.netWork / (capacity * window)
-		res.MeanJobsInSystem = s.inSystem.Average(now)
 		res.Throughput = float64(res.Jobs) / window
-		res.PerClusterUtilization = make([]float64, len(s.busyPer))
-		min, max := math.Inf(1), math.Inf(-1)
-		for c := range s.busyPer {
-			u := s.busyPer[c].Average(now) / float64(s.m.Size(c))
-			res.PerClusterUtilization[c] = u
-			min = math.Min(min, u)
-			max = math.Max(max, u)
-		}
-		res.UtilizationImbalance = max - min
 	}
+	s.cmd.report(&res, s.m, now, window)
 	if s.dec != nil {
 		res.Decisions = s.dec.Decisions
 		res.RegretTotal = s.dec.RegretTotal
@@ -610,6 +645,33 @@ func Run(cfg Config) (Result, error) {
 	}
 	s.recycle()
 	return res, nil
+}
+
+// report fills in the Result fields that c's accumulators back. On nil (a
+// sweep run) it marks them skipped: NaN, and no per-cluster utilizations.
+func (c *cmdStats) report(res *Result, m *cluster.Multicluster, now, window float64) {
+	if c == nil {
+		nan := math.NaN()
+		res.RespHalfWidth, res.MedianResponse, res.P95Response = nan, nan, nan
+		res.MeanSlowdown, res.MeanJobsInSystem, res.UtilizationImbalance = nan, nan, nan
+		return
+	}
+	res.RespHalfWidth = c.batch.HalfWidth()
+	res.MedianResponse = c.quantiles.Q50.Value()
+	res.P95Response = c.quantiles.Q95.Value()
+	res.MeanSlowdown = c.slowdown.Mean()
+	if window > 0 {
+		res.MeanJobsInSystem = c.inSystem.Average(now)
+		res.PerClusterUtilization = make([]float64, len(c.busyPer))
+		min, max := math.Inf(1), math.Inf(-1)
+		for i := range c.busyPer {
+			u := c.busyPer[i].Average(now) / float64(m.Size(i))
+			res.PerClusterUtilization[i] = u
+			min = math.Min(min, u)
+			max = math.Max(max, u)
+		}
+		res.UtilizationImbalance = max - min
+	}
 }
 
 func meanOrNaN(w *stats.Welford) float64 {
@@ -759,7 +821,7 @@ func mergeReplications(results []Result) Result {
 		inSystem.Add(r.MeanJobsInSystem)
 		throughput.Add(r.Throughput)
 		imbalance.Add(r.UtilizationImbalance)
-		if perCluster == nil {
+		if perCluster == nil && r.PerClusterUtilization != nil {
 			perCluster = make([]stats.Welford, len(r.PerClusterUtilization))
 		}
 		for ci, u := range r.PerClusterUtilization {
@@ -787,9 +849,11 @@ func mergeReplications(results []Result) Result {
 	merged.MeanJobsInSystem = inSystem.Mean()
 	merged.Throughput = throughput.Mean()
 	merged.UtilizationImbalance = imbalance.Mean()
-	merged.PerClusterUtilization = make([]float64, len(perCluster))
-	for ci := range perCluster {
-		merged.PerClusterUtilization[ci] = perCluster[ci].Mean()
+	if perCluster != nil {
+		merged.PerClusterUtilization = make([]float64, len(perCluster))
+		for ci := range perCluster {
+			merged.PerClusterUtilization[ci] = perCluster[ci].Mean()
+		}
 	}
 	merged.GrossUtilization = gross.Mean()
 	merged.NetUtilization = net.Mean()

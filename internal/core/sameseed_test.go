@@ -67,47 +67,66 @@ func poissonRow(name string, cfg Config, observe bool) sameSeedRow {
 	}}
 }
 
+// poissonBase is the open-system run of the matrix under pol: SC on a
+// single 128-processor cluster, every other policy on four of 32.
+func poissonBase(t *testing.T, pol string) Config {
+	t.Helper()
+	clusters, limit := []int{32, 32, 32, 32}, 16
+	if pol == "SC" {
+		clusters, limit = []int{128}, 128
+	}
+	return Config{
+		ClusterSizes: clusters,
+		Spec:         testSpec(t, limit, len(clusters)),
+		Policy:       pol,
+		WarmupJobs:   200,
+		MeasureJobs:  1500,
+		Seed:         11,
+		ArrivalRate:  testSpecRate(t, 0.6),
+	}
+}
+
+// withFaults returns cfg under processor failures with checkpoints.
+func withFaults(cfg Config) Config {
+	cfg.Faults = &faults.Spec{MTBF: 2000, MTTR: 600, CheckpointInterval: 100}
+	return cfg
+}
+
+// withCutoff returns cfg at an overload the saturation cutoff stops.
+func withCutoff(t *testing.T, cfg Config) Config {
+	cfg.ArrivalRate = testSpecRate(t, 1.5)
+	cfg.SaturationCutoff = true
+	return cfg
+}
+
 // sameSeedRows builds the matrix: every job source under every driver
 // policy, the open system also under faults with checkpoints, the
-// saturation cutoff, decision tracing, and metrics plus a JSONL trace
-// measured from time zero. The constant-backlog source takes no
+// saturation cutoff, decision tracing, metrics plus a JSONL trace
+// measured from time zero, and a sweep run (Config.SweepStats) under
+// faults with checkpoints. The constant-backlog source takes no
 // observer, so it has a plain row only.
 func sameSeedRows(t *testing.T) []sameSeedRow {
 	t.Helper()
 	records := replayRecords(3000)
 	var rows []sameSeedRow
 	for _, pol := range driverPolicies {
-		clusters, limit := []int{32, 32, 32, 32}, 16
-		if pol == "SC" {
-			clusters, limit = []int{128}, 128
-		}
-		base := Config{
-			ClusterSizes: clusters,
-			Spec:         testSpec(t, limit, len(clusters)),
-			Policy:       pol,
-			WarmupJobs:   200,
-			MeasureJobs:  1500,
-			Seed:         11,
-			ArrivalRate:  testSpecRate(t, 0.6),
-		}
+		base := poissonBase(t, pol)
+		clusters, limit := base.ClusterSizes, base.Spec.ComponentLimit
 		rows = append(rows, poissonRow("poisson/"+pol, base, false))
+		rows = append(rows, poissonRow("poisson-faults/"+pol, withFaults(base), true))
+		rows = append(rows, poissonRow("poisson-cutoff/"+pol, withCutoff(t, base), false))
 
 		cfg := base
-		cfg.Faults = &faults.Spec{MTBF: 2000, MTTR: 600, CheckpointInterval: 100}
-		rows = append(rows, poissonRow("poisson-faults/"+pol, cfg, true))
-
-		cfg = base
-		cfg.ArrivalRate = testSpecRate(t, 1.5)
-		cfg.SaturationCutoff = true
-		rows = append(rows, poissonRow("poisson-cutoff/"+pol, cfg, false))
-
-		cfg = base
 		cfg.Decisions = &dectrace.Options{}
 		rows = append(rows, poissonRow("poisson-decisions/"+pol, cfg, true))
 
 		cfg = base
 		cfg.NoWarmup = true
 		rows = append(rows, poissonRow("poisson-traced/"+pol, cfg, true))
+
+		cfg = withFaults(base)
+		cfg.SweepStats = true
+		rows = append(rows, poissonRow("poisson-sweep/"+pol, cfg, false))
 
 		bcfg := BacklogConfig{
 			ClusterSizes: clusters,

@@ -44,7 +44,8 @@ type Params struct {
 	// point runs replications until the 95% half-width of the mean
 	// response time drops below this relative precision (e.g. 0.05 for
 	// +-5%). Replications then sets the minimum replication count (when
-	// >= 2) and MaxReplications the cap.
+	// >= 2) and MaxReplications the cap. Run rejects a NaN or infinite
+	// value.
 	Precision float64
 	// MaxReplications bounds the sequential procedure when Precision is
 	// set (0 = the core default, 20).
@@ -305,6 +306,8 @@ func (e *Env) runPoint(cfg core.Config) (core.Result, error) {
 // pointConfig builds the run configuration of one sweep point. Every
 // policy run at the point draws the same jobs from its named streams
 // (common random numbers), since they share the seed and arrival rate.
+// No experiment reads the statistics only the commands report, so every
+// point skips them (core.Config.SweepStats).
 func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 	var capacity int
 	for _, s := range cs.ClusterSizes {
@@ -324,6 +327,7 @@ func (e *Env) pointConfig(cs CurveSpec, util float64) core.Config {
 		Lookahead:        e.Lookahead,
 		SaturationCutoff: e.SaturationCutoff,
 		Decisions:        e.Decisions,
+		SweepStats:       true,
 	}
 }
 

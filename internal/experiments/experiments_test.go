@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,22 @@ func TestRunUnknownExperiment(t *testing.T) {
 	env := NewEnv(tinyParams())
 	if _, err := Run("nope", env); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestRunRejectsNonFinitePrecision: a NaN or infinite Params.Precision is
+// an error naming the parameter, not a silent fixed-count run, for a sweep
+// and for an experiment that runs no simulation alike.
+func TestRunRejectsNonFinitePrecision(t *testing.T) {
+	for _, prec := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, exp := range []string{"fig3", "table1"} {
+			p := tinyParams()
+			p.Precision = prec
+			_, err := Run(exp, NewEnv(p))
+			if err == nil || !strings.Contains(err.Error(), "Params.Precision") {
+				t.Errorf("%s with precision %g: err %v, want one naming Params.Precision", exp, prec, err)
+			}
+		}
 	}
 }
 
@@ -426,6 +443,12 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if !strings.Contains(out, "================ "+name+" ================") {
 			t.Errorf("All output missing section %q", name)
 		}
+	}
+	// Sweep points skip the statistics only the commands report, which
+	// are NaN in their Results (core.Config.SweepStats): an experiment
+	// that printed one would show NaN here.
+	if n := strings.Count(out, "NaN"); n != 0 {
+		t.Errorf("All output contains NaN %d times", n)
 	}
 }
 

@@ -41,6 +41,7 @@ type pointKey struct {
 	measureJobs  int
 	seed         uint64
 	cutoff       bool
+	sweepStats   bool
 	hasFaults    bool
 	faults       faults.Spec
 	replications int
@@ -77,6 +78,7 @@ func (e *Env) pointKey(cfg core.Config) (pointKey, bool) {
 		measureJobs:  cfg.MeasureJobs,
 		seed:         cfg.Seed,
 		cutoff:       cfg.SaturationCutoff,
+		sweepStats:   cfg.SweepStats,
 		replications: e.Replications,
 		precision:    e.Precision,
 		maxReps:      e.MaxReplications,

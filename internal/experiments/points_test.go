@@ -48,6 +48,7 @@ func TestPointKeyCoversConfig(t *testing.T) {
 		"MeasureJobs":               func(c *core.Config) { c.MeasureJobs++ },
 		"Seed":                      func(c *core.Config) { c.Seed++ },
 		"SaturationCutoff":          func(c *core.Config) { c.SaturationCutoff = !c.SaturationCutoff },
+		"SweepStats":                func(c *core.Config) { c.SweepStats = !c.SweepStats },
 		"Faults":                    func(c *core.Config) { c.Faults = nil },
 		"Faults.MTBF":               func(c *core.Config) { c.Faults.MTBF++ },
 		"Faults.MTTR":               func(c *core.Config) { c.Faults.MTTR++ },
@@ -172,8 +173,8 @@ func TestCurveSetRunsEachDistinctPointOnce(t *testing.T) {
 	}
 	firstSweep := fmt.Sprintf("%+v", sets)
 	// Curves that share a run share no slices.
-	sets[0][0].PerClusterUtilization[0] = -1
-	if sets[1][0].PerClusterUtilization[0] == -1 {
+	sets[0][0].ResponseBySizeClass[0] = -1
+	if sets[1][0].ResponseBySizeClass[0] == -1 {
 		t.Error("collapsed curves share a Result's slices")
 	}
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -80,6 +81,11 @@ func Run(name string, e *Env) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("experiments: unknown experiment %q (have %s)",
 			name, strings.Join(Names(), ", "))
+	}
+	// A NaN precision would silently run the fixed replication count, and
+	// a point keyed by it would never equal itself.
+	if math.IsNaN(e.Precision) || math.IsInf(e.Precision, 0) {
+		return "", fmt.Errorf("experiments: Params.Precision %g must be finite (positive for the stopping rule, 0 for the fixed replication count)", e.Precision)
 	}
 	return r.run(e)
 }
