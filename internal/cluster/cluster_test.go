@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"coalloc/internal/rng"
+	"coalloc/internal/workload"
 )
 
 // place is PlaceInto with fresh buffers: it returns the cluster index per
@@ -373,4 +374,69 @@ func TestPlaceNeverOverfills(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFitRulesAgreeOnFeasibility pins, exhaustively on small systems,
+// that Worst, First and Best Fit place a workload.Split request exactly
+// when some placement on distinct clusters exists. The split's components
+// are nonincreasing, so every cluster that fits a component fits all
+// later ones, and any greedy distinct-cluster rule succeeds whenever a
+// placement exists. The decision trace relies on it: another fit rule
+// can never start a queue head the policy's rule could not.
+func TestFitRulesAgreeOnFeasibility(t *testing.T) {
+	for _, sizes := range [][]int{{8, 8, 8}, {6, 6, 6, 6}, {9, 3, 5, 7}} {
+		capacity := 0
+		for _, n := range sizes {
+			capacity += n
+		}
+		busy := make([]int, len(sizes))
+		for {
+			m := New(sizes)
+			for c, b := range busy {
+				if b > 0 {
+					m.Alloc([]int{b}, []int{c})
+				}
+			}
+			for limit := 1; limit <= 9; limit++ {
+				for total := 1; total <= capacity; total++ {
+					comps := workload.Split(total, limit, len(sizes))
+					want := distinctPlacementExists(m, comps, make([]bool, len(sizes)))
+					for _, fit := range []Fit{WorstFit, FirstFit, BestFit} {
+						if _, ok := place(m, comps, fit); ok != want {
+							t.Fatalf("clusters %v, busy %v, request %v: %s places it = %v, a placement exists = %v",
+								sizes, busy, comps, fit, ok, want)
+						}
+					}
+				}
+			}
+			// Next busy vector, odometer style.
+			c := 0
+			for ; c < len(busy) && busy[c] == sizes[c]; c++ {
+				busy[c] = 0
+			}
+			if c == len(busy) {
+				break
+			}
+			busy[c]++
+		}
+	}
+}
+
+// distinctPlacementExists searches every assignment of comps to unused
+// clusters with enough idle processors.
+func distinctPlacementExists(m *Multicluster, comps []int, used []bool) bool {
+	if len(comps) == 0 {
+		return true
+	}
+	for c := range used {
+		if !used[c] && m.Idle(c) >= comps[0] {
+			used[c] = true
+			ok := distinctPlacementExists(m, comps[1:], used)
+			used[c] = false
+			if ok {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 
 	"coalloc/internal/cluster"
+	"coalloc/internal/dastrace"
 	"coalloc/internal/faults"
 	"coalloc/internal/rng"
+	"coalloc/internal/workload"
 )
 
 // TestDispatchZeroAlloc pins the simulator's side of a job's life at zero
@@ -26,19 +30,22 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	// A mix of 1-, 2- and 3-component totals, cycled deterministically.
 	sizes := []int{5, 24, 48, 17, 3, 31}
 	clusters := []int{0, 1, 2, 3}
+	// The departure releases the job's arena slot, so every cycle reuses
+	// one slot and its buffers, and the handle is dead once it departed:
+	// the departure shows in the finished count and the busy count.
 	cycle := func() {
-		s.arena.Reset()
 		j := s.spec.JobFromDraws(s.arena, sizes[s.nextID%int64(len(sizes))], 100)
 		s.nextID++
 		j.ID = s.nextID
 		j.ArrivalTime = s.eng.Now()
+		before := s.finished
 		s.Dispatch(j, clusters[:len(j.Components)])
-		if !s.eng.Step() || j.FinishTime != s.eng.Now() || s.m.Busy() != 0 {
-			t.Fatalf("job %d did not depart", j.ID)
+		if !s.eng.Step() || s.finished != before+1 || s.m.Busy() != 0 {
+			t.Fatalf("job %d did not depart", s.nextID)
 		}
 	}
-	// Warm up: let the arena, the event pool and the statistics reach
-	// their working size.
+	// Warm up: let the event pool and the statistics reach their
+	// working size.
 	for i := 0; i < 200; i++ {
 		cycle()
 	}
@@ -96,5 +103,78 @@ func TestAllocationsFlatInRunLength(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBytesFlatInRunLength pins bytes per job, where
+// TestAllocationsFlatInRunLength pins allocation counts: an arena that
+// grows by one block per 1024 jobs makes few allocations but holds every
+// job until the run ends. For each job source, the bytes a run twice as
+// long allocates beyond the shorter run must stay below a constant: a
+// departed job's arena slot is reused, and replayed records become arena
+// jobs, not heap ones. Each run starts from an empty arena pool, so a
+// warmed arena cannot hide the growth.
+func TestBytesFlatInRunLength(t *testing.T) {
+	const n = 20000
+	const bound = 64 << 10
+	recs := dastrace.Generate(dastrace.GenConfig{NumJobs: 2 * n, Seed: 42})
+	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit })
+	spec := testSpec(t, 16, 4)
+	sources := []struct {
+		label string
+		run   func(scale int) int // runs scale units of length, returns jobs done
+	}{
+		{"poisson", func(scale int) int {
+			res, err := RunAtUtilization(Config{
+				ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS",
+				WarmupJobs: 100, MeasureJobs: scale * n, Seed: 1,
+			}, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Jobs
+		}},
+		{"backlog", func(scale int) int {
+			res, err := RunBacklog(BacklogConfig{
+				ClusterSizes: []int{32, 32, 32, 32}, Spec: spec, Policy: "GS-EASY",
+				WarmupTime: 1000, MeasureTime: float64(scale) * 1e6, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Jobs
+		}},
+		{"replay", func(scale int) int {
+			res, err := Replay(ReplayConfig{
+				ClusterSizes: []int{32, 32, 32, 32}, Records: recs[:scale*n], Policy: "LS",
+				ComponentLimit: 16, ExtensionFactor: workload.DefaultExtensionFactor, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Jobs
+		}},
+	}
+	for _, src := range sources {
+		t.Run(src.label, func(t *testing.T) {
+			var jobs [3]int
+			bytes := func(scale int) uint64 {
+				runtime.GC()
+				runtime.GC() // a pooled arena survives one collection, not two
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				jobs[scale] = src.run(scale)
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			short, long := bytes(1), bytes(2)
+			if jobs[2]-jobs[1] < n/2 {
+				t.Fatalf("the long run did %d jobs, the short one %d: too close to measure", jobs[2], jobs[1])
+			}
+			if long > short+bound {
+				t.Errorf("%d bytes for %d jobs, %d for %d: %.1f bytes per extra job, want under %d bytes in all",
+					short, jobs[1], long, jobs[2], float64(long-short)/float64(jobs[2]-jobs[1]), bound)
+			}
+		})
 	}
 }

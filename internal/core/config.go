@@ -86,8 +86,8 @@ type Config struct {
 	// availability profiles on kills and capacity changes.
 	Faults *faults.Spec
 	// Decisions, when non-nil, enables the decision-trace layer (package
-	// dectrace): every dispatch, head miss, reservation and backfill
-	// rejection is recorded with its unchosen alternatives, regret
+	// dectrace): every dispatch, local-queue miss, reservation and
+	// backfill rejection is recorded with its unchosen alternatives, regret
 	// aggregates land in Result, and — with an Observer attached —
 	// decision records flow into the JSONL trace. Nil keeps the run
 	// bit-identical to a build without the layer (the disabled path is

@@ -138,32 +138,24 @@ func (c *ReplayConfig) system() system {
 	return system{c.ClusterSizes, c.Policy, c.Fit, c.Lookahead, c.QueueWeights}
 }
 
-// replayFeed submits a replay's records in submit order. It keeps one
-// arrival event pending, at the next record's arrival time, and builds
-// each record's job only when the record is due, so a run holds the jobs
-// in the system, not the whole log.
+// replayFeed hands out a replay's records in submit order. It keeps one
+// arrival event pending, at the next record's arrival time, and each
+// record's job is built only when the record is due, in a slot of the
+// run's arena that a departed job released, so a run holds the jobs in
+// the system, not the whole log.
 type replayFeed struct {
 	recs []dastrace.Record // ReplayConfig.Records, read in place
 	// order lists record indices in submit order, stable on ties; nil
 	// when recs is already in order.
-	order    []int32
-	next     int // position in submit order of the next record to submit
-	load     float64
-	limit    int
-	clusters int
-	ext      float64
+	order []int32
+	next  int // position in submit order of the next record to submit
+	load  float64
 }
 
 // newReplayFeed indexes cfg's records in submit order.
 func newReplayFeed(cfg *ReplayConfig) *replayFeed {
 	recs := cfg.Records
-	f := &replayFeed{
-		recs:     recs,
-		load:     cfg.loadFactor(),
-		limit:    cfg.ComponentLimit,
-		clusters: len(cfg.ClusterSizes),
-		ext:      cfg.ExtensionFactor,
-	}
+	f := &replayFeed{recs: recs, load: cfg.loadFactor()}
 	if !sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Submit < recs[b].Submit }) {
 		f.order = make([]int32, len(recs))
 		for i := range f.order {
@@ -191,26 +183,14 @@ func (f *replayFeed) nextAt() (t float64, ok bool) {
 	return f.record(f.next).Submit / f.load, true
 }
 
-// due returns the next record's job if the record arrives at or before
-// now, or nil. Each job is heap-allocated, so the collector reclaims it
-// once it departs; the run's arena would hold every job until the end.
-func (f *replayFeed) due(now float64) *workload.Job {
+// due returns the next record if it arrives at or before now, or nil.
+func (f *replayFeed) due(now float64) *dastrace.Record {
 	if t, ok := f.nextAt(); !ok || t > now {
 		return nil
 	}
 	r := f.record(f.next)
 	f.next++
-	j := &workload.Job{
-		ID:          int64(r.ID),
-		TotalSize:   r.Size,
-		Components:  workload.Split(r.Size, f.limit, f.clusters),
-		ServiceTime: r.Service,
-	}
-	j.ExtendedServiceTime = j.ServiceTime
-	if j.Multi() {
-		j.ExtendedServiceTime *= f.ext
-	}
-	return j
+	return r
 }
 
 // Replay runs a trace through a policy and returns its metrics.
@@ -222,6 +202,11 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 
 	s := newSimulation(cfg.system(), pol, rng.NewSource(cfg.Seed), "replay", noCount, false)
 	s.src = replaySource
+	s.spec = workload.Spec{
+		ComponentLimit:  cfg.ComponentLimit,
+		Clusters:        len(cfg.ClusterSizes),
+		ExtensionFactor: cfg.ExtensionFactor,
+	}
 	s.feed = newReplayFeed(&cfg)
 	s.observe(cfg.Observer)
 	if cfg.ScheduleWriter != nil {

@@ -281,11 +281,12 @@ func (s *simulation) Scratch() *policies.Scratch { return s.scratch }
 
 // Dispatch allocates the placement and schedules the departure
 // (policies.Ctx). The placement argument may live in pass scratch, so the
-// stable per-job copy is carved from the run's arena.
+// stable per-job copy goes into the job's own placement buffer, or is
+// carved from the run's arena when that buffer is too small.
 func (s *simulation) Dispatch(j *workload.Job, placement []int) {
 	now := s.eng.Now()
 	j.StartTime = now
-	j.Placement = s.arena.CopyInts(placement)
+	j.Placement = s.arena.CopyInts(j.Placement, placement)
 	placement = j.Placement
 	if j.Type == workload.Flexible {
 		// The scheduler chose the split; the extension factor applies
@@ -345,17 +346,21 @@ func (s *simulation) handleEvent(kind int32, payload any) {
 	}
 }
 
-// submitDue routes and submits every replay record due at or before the
-// clock, in submit order.
+// submitDue builds, routes and submits the job of every replay record
+// due at or before the clock, in submit order.
 func (s *simulation) submitDue() {
-	for j := s.feed.due(s.eng.Now()); j != nil; j = s.feed.due(s.eng.Now()) {
+	for r := s.feed.due(s.eng.Now()); r != nil; r = s.feed.due(s.eng.Now()) {
+		j := s.spec.JobFromDraws(s.arena, r.Size, r.Service)
+		j.ID = int64(r.ID)
 		j.Queue = s.routeQueue()
 		s.submit(j)
 	}
 }
 
 // depart releases the job's processors, records metrics, and gives the
-// policy a scheduling opportunity.
+// policy a scheduling opportunity. Once the policy has seen the
+// departure, the job's arena slot goes back to the arena for the next
+// job, and j is dead.
 func (s *simulation) depart(j *workload.Job) {
 	if s.src == replaySource {
 		// An arrival wins a tie against a departure: the records due now
@@ -404,6 +409,7 @@ func (s *simulation) depart(j *workload.Job) {
 		}
 	}
 	s.pol.JobDeparted(s, j)
+	s.arena.Release(j)
 	if s.src == backlogSource {
 		s.topUp()
 	}

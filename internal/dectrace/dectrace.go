@@ -51,9 +51,6 @@ const (
 	// chosen placement, Regret the resolved counterfactual regret, and
 	// Alts the placements other fit rules would have chosen right now.
 	KindDispatch = "dispatch"
-	// KindHeadMiss: a queue head did not fit under the policy's rule but
-	// an unchosen fit rule could have placed it immediately (Alts).
-	KindHeadMiss = "headmiss"
 	// KindLocalMiss: a single-component job confined to its own cluster
 	// did not fit there while other clusters had room (Alts).
 	KindLocalMiss = "localmiss"
@@ -302,33 +299,6 @@ func (t *Tracer) Dispatch(now float64, j *workload.Job, m *cluster.Multicluster,
 	t.beginAlts()
 	t.probeFits(j, m, chosen, placement, now)
 	t.emit(now, KindDispatch, j, now, placement, regret)
-}
-
-// HeadMiss records a queue head that did not fit under the policy's rule.
-// The probe asks whether an unchosen fit rule could place the head right
-// now — the greedy distinct-cluster rules are not optimal, so this does
-// happen — and, if so, folds now into the job's regret accounting. Only
-// the first such miss of a waiting spell emits a record; later misses can
-// only observe later (never smaller) alternative starts, so they update
-// nothing the record would show.
-func (t *Tracer) HeadMiss(now float64, j *workload.Job, m *cluster.Multicluster, chosen cluster.Fit) {
-	if t == nil {
-		return
-	}
-	t.beginAlts()
-	t.probeFits(j, m, chosen, nil, now)
-	if len(t.alts) == 0 {
-		return
-	}
-	p := t.take(j.ID)
-	t.observe(&p, now)
-	if p.missed {
-		t.pending[j.ID] = p
-		return
-	}
-	p.missed = true
-	t.pending[j.ID] = p
-	t.emit(now, KindHeadMiss, j, math.Inf(1), nil, 0)
 }
 
 // LocalMiss records a single-component job that did not fit on the one

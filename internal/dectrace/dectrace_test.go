@@ -41,7 +41,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.BeginAlts()
 	tr.AddAlt("FF", 1, []int{0})
 	tr.Dispatch(1, j, m, cluster.WorstFit, []int{0})
-	tr.HeadMiss(1, j, m, cluster.WorstFit)
 	tr.LocalMiss(1, j, m, 0)
 	tr.BackfillReject(1, j, cluster.WorstFit, []int{0})
 	tr.Reserve(1, j, 5, []int{0})
@@ -54,7 +53,7 @@ func TestNilTracerPathAllocsPerRun(t *testing.T) {
 	placement := []int{0}
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.Dispatch(1, j, m, cluster.WorstFit, placement)
-		tr.HeadMiss(1, j, m, cluster.WorstFit)
+		tr.LocalMiss(1, j, m, 0)
 		tr.Reserve(1, j, 5, nil)
 	})
 	if allocs != 0 {
@@ -62,35 +61,35 @@ func TestNilTracerPathAllocsPerRun(t *testing.T) {
 	}
 }
 
-func TestHeadMissThenDispatchResolvesRegret(t *testing.T) {
+func TestLocalMissThenDispatchResolvesRegret(t *testing.T) {
 	tr := New(Options{})
 	var c capture
 	tr.SetSink(c.sink)
 	m := cluster.New([]int{8, 8})
-	j := testJob(7, 2, 2)
-	j.Queue = 1
+	j := testJob(7, 2)
+	j.Queue = 0
 
-	// The tracer trusts the caller that the policy's rule missed; the
-	// probe finds the unchosen rules' placements on the live idle vector.
-	tr.HeadMiss(10, j, m, cluster.WorstFit)
-	if len(c.recs) != 1 || c.recs[0].Kind != KindHeadMiss {
+	// The tracer trusts the caller that the job did not fit on its own
+	// cluster; the probe finds the other clusters with room right now.
+	tr.LocalMiss(10, j, m, 0)
+	if len(c.recs) != 1 || c.recs[0].Kind != KindLocalMiss {
 		t.Fatalf("records after first miss: %+v", c.recs)
 	}
-	if got := c.recs[0]; got.Job != 7 || got.Queue != 1 || !math.IsInf(got.Start, 1) || got.Place != nil {
-		t.Errorf("headmiss record %+v", got)
+	if got := c.recs[0]; got.Job != 7 || got.Queue != 0 || !math.IsInf(got.Start, 1) || got.Place != nil {
+		t.Errorf("localmiss record %+v", got)
 	}
-	if len(c.recs[0].Alts) == 0 {
-		t.Fatal("headmiss with idle capacity found no alternative placements")
+	if alts := c.recs[0].Alts; len(alts) != 1 || alts[0].Place[0] != 1 {
+		t.Fatalf("localmiss alternatives %+v, want cluster 1", alts)
 	}
 
 	// A second miss in the same waiting spell folds silently: it cannot
 	// reveal an earlier start than the first.
-	tr.HeadMiss(12, j, m, cluster.WorstFit)
+	tr.LocalMiss(12, j, m, 0)
 	if len(c.recs) != 1 {
 		t.Fatalf("second miss of the spell emitted a record: %+v", c.recs)
 	}
 
-	tr.Dispatch(25, j, m, cluster.WorstFit, []int{0, 1})
+	tr.Dispatch(25, j, m, cluster.WorstFit, []int{0})
 	if len(c.recs) != 2 || c.recs[1].Kind != KindDispatch {
 		t.Fatalf("records after dispatch: %+v", c.recs)
 	}
@@ -106,7 +105,7 @@ func TestHeadMissThenDispatchResolvesRegret(t *testing.T) {
 	}
 
 	// The pending entry was consumed: a re-dispatch sees no stale regret.
-	tr.Dispatch(30, j, m, cluster.WorstFit, []int{0, 1})
+	tr.Dispatch(30, j, m, cluster.WorstFit, []int{0})
 	if tr.RegretTotal != 15 {
 		t.Errorf("stale pending entry leaked regret: total %g", tr.RegretTotal)
 	}
@@ -283,10 +282,6 @@ func TestProbeFitsSkipsNonPlaceableRequestTypes(t *testing.T) {
 	m := cluster.New([]int{8, 8})
 	j := testJob(1, 2, 2)
 	j.Type = workload.Ordered // placement is fixed; no rule alternatives
-	tr.HeadMiss(10, j, m, cluster.WorstFit)
-	if len(c.recs) != 0 {
-		t.Fatalf("ordered request produced fit alternatives: %+v", c.recs)
-	}
 	tr.Dispatch(20, j, m, cluster.WorstFit, []int{0, 1})
 	if len(c.recs) != 1 || len(c.recs[0].Alts) != 0 {
 		t.Fatalf("ordered dispatch: %+v", c.recs)
@@ -297,8 +292,8 @@ func TestSinklessTracerStillAggregates(t *testing.T) {
 	tr := New(Options{})
 	m := cluster.New([]int{8, 8})
 	j := testJob(1, 2)
-	tr.HeadMiss(10, j, m, cluster.WorstFit)
-	tr.Dispatch(25, j, m, cluster.WorstFit, []int{0})
+	tr.LocalMiss(10, j, m, 1)
+	tr.Dispatch(25, j, m, cluster.WorstFit, []int{1})
 	if tr.Decisions != 2 {
 		t.Errorf("Decisions = %d, want 2 (counted even without a sink)", tr.Decisions)
 	}

@@ -132,7 +132,7 @@ func Regret(e *Env) (string, error) {
 			fmt.Fprintf(&b, "%s %.1f", r.name, r.mean)
 		}
 	}
-	b.WriteString("\n\n(regret counts only alternatives the policy itself evaluated against\nthe same availability state — other placement rules, other clusters,\nrejected backfill holes — so it isolates the cost of the placement\nchoice from the cost of the queueing discipline.)\n")
+	b.WriteString("\n\n(regret counts only alternatives the policy itself evaluated against\nthe same availability state. Worst, First and Best Fit agree on\nwhether every request fits, so for these four policies the only\nearlier start is another cluster for a job its local queue confines\n(LS and LP): regret isolates the cost of that restriction from the\ncost of the queueing discipline.)\n")
 	if err := e.SaveCSV("regret", series); err != nil {
 		return "", err
 	}

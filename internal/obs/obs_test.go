@@ -235,7 +235,7 @@ func TestDecisionTraceBytes(t *testing.T) {
 	// Miss-kind records name no start (it is +Inf) and no placement;
 	// regret is a dispatch-only field.
 	tr.Decision(&dectrace.Record{
-		T: 310, Kind: dectrace.KindHeadMiss, Job: 5, Queue: 2,
+		T: 310, Kind: dectrace.KindLocalMiss, Job: 5, Queue: 2,
 		Start: math.Inf(1), Regret: 99, // Regret must not leak into the record
 		Alts: []dectrace.Alt{{Rule: "cluster", Start: 310, Place: []int{3}}},
 	})
@@ -243,7 +243,7 @@ func TestDecisionTraceBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"t":300,"ev":"decision","kind":"dispatch","job":4,"queue":-1,"start":300,"place":[0,2],"regret":23.5,"alts":[{"rule":"FF","start":300,"place":[0,1]},{"rule":"BF","start":301.5}]}
-{"t":310,"ev":"decision","kind":"headmiss","job":5,"queue":2,"alts":[{"rule":"cluster","start":310,"place":[3]}]}
+{"t":310,"ev":"decision","kind":"localmiss","job":5,"queue":2,"alts":[{"rule":"cluster","start":310,"place":[3]}]}
 `
 	if got := buf.String(); got != want {
 		t.Errorf("decision bytes:\n got %q\nwant %q", got, want)

@@ -167,7 +167,6 @@ func (p *EASY) pass(ctx Ctx) {
 		}
 		if !m.PlaceInto(head.Components, p.fit, s.Place, s.Used) {
 			o.HeadMiss(workload.GlobalQueue)
-			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
 			break
 		}
 		p.q.Pop()

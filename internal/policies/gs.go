@@ -74,7 +74,6 @@ func (p *GS) pass(ctx Ctx) {
 		placement, ok := p.placeFor(m, head, s)
 		if !ok {
 			o.HeadMiss(workload.GlobalQueue)
-			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
 			p.blocked = true
 			return
 		}

@@ -131,7 +131,6 @@ func (p *LP) pass(ctx Ctx) {
 				} else {
 					p.globalEnabled = false
 					o.HeadMiss(workload.GlobalQueue)
-					ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
 					o.QueueDisabled(ctx.Now(), workload.GlobalQueue)
 				}
 			}

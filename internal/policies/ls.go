@@ -119,12 +119,8 @@ func (p *LS) pass(ctx Ctx) {
 			placement, ok := p.place(m, head, q, s)
 			if !ok {
 				o.HeadMiss(q)
-				if dt := ctx.Dec(); dt != nil {
-					if head.Multi() {
-						dt.HeadMiss(ctx.Now(), head, m, p.fit)
-					} else {
-						dt.LocalMiss(ctx.Now(), head, m, q)
-					}
+				if dt := ctx.Dec(); dt != nil && !head.Multi() {
+					dt.LocalMiss(ctx.Now(), head, m, q)
 				}
 				if p.set.Disable(q) && o.Enabled() {
 					o.QueueDisabled(ctx.Now(), q)

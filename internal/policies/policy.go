@@ -43,9 +43,9 @@ type Ctx interface {
 	Obs() *obs.Observer
 	// Dec returns the run's decision tracer, or nil when decision
 	// tracing is off. Policies report the counterfactual side of their
-	// decisions into it — head misses with feasible unchosen placements,
-	// reservations with the alternatives the profile offered, rejected
-	// backfill candidates; all tracer methods are nil-safe.
+	// decisions into it — local-queue misses with the clusters that had
+	// room, reservations with the alternatives the profile offered,
+	// rejected backfill candidates; all tracer methods are nil-safe.
 	Dec() *dectrace.Tracer
 	// Scratch returns the run's shared scheduling scratch buffers.
 	// Exactly one policy pass runs at a time (a simulation run is

@@ -80,7 +80,6 @@ func (p *SPF) pass(ctx Ctx) {
 		head := p.jobs[started]
 		if !m.PlaceInto(head.Components, p.fit, s.Place, s.Used) {
 			o.HeadMiss(workload.GlobalQueue)
-			ctx.Dec().HeadMiss(ctx.Now(), head, m, p.fit)
 			p.blocked = true
 			break
 		}

@@ -78,7 +78,7 @@ func newBacklogDriver(p Policy) *backlogDriver {
 	free := make([]*workload.Job, backlogPool)
 	for i := range free {
 		j := spec.JobFromDraws(arena, sizes[i%len(sizes)], services[i%len(services)])
-		j.Placement = arena.Ints(backlogClusters)[:0]
+		j.Placement = arena.Ints(nil, backlogClusters)[:0]
 		free[i] = j
 	}
 	bc := &backlogCtx{

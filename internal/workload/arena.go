@@ -6,16 +6,20 @@ import (
 	"coalloc/internal/rng"
 )
 
-// Arena is a per-run bump allocator for jobs. It block-allocates Job
-// values and carves every per-job int slice (Components, Placement,
-// OrderedPlacement) out of a shared []int backing store, so sampling and
-// dispatching a job costs zero heap allocations in the steady state.
+// Arena allocates a run's jobs. It block-allocates Job values and carves
+// every per-job int slice (Components, Placement, OrderedPlacement) out of
+// a shared []int backing store, so sampling and dispatching a job costs
+// zero heap allocations in the steady state. A departed job's slot goes
+// back to the arena (Release) and the next Job reuses it together with
+// its int buffers, so a run's job memory is bounded by the most jobs it
+// ever held in the system, not by the number it simulates.
 //
 // Ownership rules (see DESIGN.md §11):
 //
-//   - Every *Job returned by Job (and every slice returned by Ints or
-//     CopyInts) is valid only until the next Reset. Resetting recycles
-//     the blocks wholesale; stale handles silently alias new jobs.
+//   - A *Job returned by Job (and every slice returned by Ints or
+//     CopyInts for it) is valid until it is released or until the next
+//     Reset, whichever comes first. After that the slot belongs to a
+//     later job: a stale handle silently aliases it.
 //   - An arena belongs to exactly one run at a time. Nothing that
 //     outlives the run — results, observers, package-level state — may
 //     retain arena-owned *Job handles or slices. TestSameSeedMatrix
@@ -29,7 +33,8 @@ import (
 // once and run with or without pooling.
 type Arena struct {
 	jobBlocks [][]Job
-	jobUsed   int // slots used in the last job block
+	jobUsed   int    // slots used in the last job block
+	free      []*Job // released slots; the last one is reused first
 	intBlocks [][]int
 	intUsed   int // ints used in the last int block
 
@@ -37,9 +42,11 @@ type Arena struct {
 }
 
 // Block sizing: jobs are ~160 B each, so 1024-job blocks are ~160 KiB;
-// int blocks hold the Components+Placement of ~2048 typical jobs. After
-// the first Reset the arena consolidates to one right-sized block per
-// kind, so later replications allocate nothing at all.
+// int blocks hold the Components+Placement of ~2048 typical jobs. Slots
+// are recycled, so a run needs a block per 1024 jobs in the system, not
+// per 1024 jobs simulated. After the first Reset the arena consolidates
+// to one right-sized block per kind, so later replications allocate
+// nothing at all.
 const (
 	arenaJobBlock = 1024
 	arenaIntBlock = 8192
@@ -48,11 +55,24 @@ const (
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Job returns a zeroed job. The handle is owned by the arena: it is valid
-// only until the next Reset. A nil arena allocates from the heap.
+// Job returns a job with every field zero except its int slices. A fresh
+// slot's slices are nil; a released slot comes back with Components,
+// Placement and OrderedPlacement of length zero over the backing arrays
+// of the slot's previous job, for Ints and CopyInts to refill. The handle
+// is owned by the arena (see Arena). A nil arena allocates from the heap.
 func (a *Arena) Job() *Job {
 	if a == nil {
 		return &Job{}
+	}
+	if n := len(a.free); n > 0 {
+		j := a.free[n-1]
+		a.free = a.free[:n-1]
+		// Clear, then restore the buffers: assigning a composite literal
+		// that reads j would build the whole Job on the stack and copy it.
+		c, p, o := j.Components[:0], j.Placement[:0], j.OrderedPlacement[:0]
+		*j = Job{}
+		j.Components, j.Placement, j.OrderedPlacement = c, p, o
+		return j
 	}
 	if len(a.jobBlocks) == 0 || a.jobUsed == len(a.jobBlocks[len(a.jobBlocks)-1]) {
 		a.jobBlocks = append(a.jobBlocks, make([]Job, arenaJobBlock))
@@ -61,18 +81,35 @@ func (a *Arena) Job() *Job {
 	blk := a.jobBlocks[len(a.jobBlocks)-1]
 	j := &blk[a.jobUsed]
 	a.jobUsed++
-	*j = Job{} // recycled slot: clear the previous replication's job
+	*j = Job{} // recycled block: clear the previous replication's job
 	return j
 }
 
-// Ints carves a zeroed slice of n ints from the shared backing store. The
-// slice's capacity is pinned to n (full slice expression), so appending to
-// it can never scribble over a neighbouring carve — append reallocates to
-// the heap instead. Valid only until the next Reset. A nil arena (or
-// n == 0) falls back to make.
-func (a *Arena) Ints(n int) []int {
+// Release returns j's slot to the arena once the job has left the
+// system; the next Job reuses it, and with it the backing arrays of j's
+// int slices. j must have come from this arena, and neither j nor its
+// slices may be used after the call. A nil arena leaves j to the
+// collector.
+func (a *Arena) Release(j *Job) {
+	if a != nil {
+		a.free = append(a.free, j)
+	}
+}
+
+// Ints returns a zeroed slice of n ints: in buf's backing array when its
+// capacity allows (a released slot's buffer, see Job), and otherwise
+// carved from the shared backing store. A carve's capacity is pinned to
+// n (full slice expression), so appending to it can never scribble over
+// a neighbouring carve — append reallocates to the heap instead. A nil
+// arena falls back to make; n <= 0 returns buf[:0].
+func (a *Arena) Ints(buf []int, n int) []int {
 	if n <= 0 {
-		return nil
+		return buf[:0]
+	}
+	if n <= cap(buf) {
+		buf = buf[:n]
+		clear(buf)
+		return buf
 	}
 	if a == nil {
 		return make([]int, n)
@@ -88,31 +125,32 @@ func (a *Arena) Ints(n int) []int {
 	blk := a.intBlocks[len(a.intBlocks)-1]
 	s := blk[a.intUsed : a.intUsed+n : a.intUsed+n]
 	a.intUsed += n
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// CopyInts carves an arena-owned copy of src. Empty src returns nil.
-func (a *Arena) CopyInts(src []int) []int {
-	if len(src) == 0 {
-		return nil
+// CopyInts returns a copy of src: in dst's backing array when its
+// capacity allows, and otherwise in a carve (see Ints).
+func (a *Arena) CopyInts(dst, src []int) []int {
+	if len(src) > cap(dst) {
+		dst = a.Ints(nil, len(src))
 	}
-	dst := a.Ints(len(src))
+	dst = dst[:len(src)]
 	copy(dst, src)
 	return dst
 }
 
 // Reset recycles every job and slice the arena has handed out since the
-// last Reset. Outstanding handles become invalid. Memory is retained:
-// when more than one block of a kind was needed, the blocks are merged
-// into a single right-sized one, so a steady-state replication loop
-// reaches zero allocations after the first pass.
+// last Reset, released or not. Outstanding handles become invalid.
+// Memory is retained: when more than one block of a kind was needed, the
+// blocks are merged into a single right-sized one, so a steady-state
+// replication loop reaches zero allocations after the first pass.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
+	clear(a.free) // drop the pointers into blocks the merge may retire
+	a.free = a.free[:0]
 	if len(a.jobBlocks) > 1 {
 		total := 0
 		for _, b := range a.jobBlocks {
@@ -149,7 +187,7 @@ func (s *Spec) JobFromDraws(a *Arena, total int, svc float64) *Job {
 	j := a.Job()
 	j.TotalSize = total
 	n := NumComponents(total, s.ComponentLimit, s.Clusters)
-	j.Components = AppendSplit(a.Ints(n)[:0], total, s.ComponentLimit, s.Clusters)
+	j.Components = AppendSplit(a.Ints(j.Components, n)[:0], total, s.ComponentLimit, s.Clusters)
 	j.ServiceTime = svc
 	j.ExtendedServiceTime = svc
 	if n > 1 {
@@ -173,7 +211,7 @@ func (s *Spec) SampleTypedInto(a *Arena, t RequestType, sizeStream, svcStream, p
 	case Ordered:
 		j := s.SampleInto(a, sizeStream, svcStream)
 		j.Type = Ordered
-		j.OrderedPlacement = sampleDistinctClustersInto(a, placeStream, len(j.Components), s.Clusters)
+		j.OrderedPlacement = sampleDistinctClustersInto(a, j.OrderedPlacement, placeStream, len(j.Components), s.Clusters)
 		return j
 	case Flexible, Total:
 		total := s.Sizes.Sample(sizeStream)
@@ -181,7 +219,7 @@ func (s *Spec) SampleTypedInto(a *Arena, t RequestType, sizeStream, svcStream, p
 		j := a.Job()
 		j.Type = t
 		j.TotalSize = total
-		comps := a.Ints(1)
+		comps := a.Ints(j.Components, 1)
 		comps[0] = total
 		j.Components = comps
 		j.ServiceTime = svc
@@ -199,9 +237,9 @@ func (s *Spec) SampleTypedInto(a *Arena, t RequestType, sizeStream, svcStream, p
 
 // sampleDistinctClustersInto is sampleDistinctClusters drawing into the
 // arena: the Fisher-Yates permutation lives in arena scratch and only the
-// k chosen indices are carved from the backing store. The stream draw
-// sequence is identical to the heap version.
-func sampleDistinctClustersInto(a *Arena, r *rng.Stream, k, n int) []int {
+// k chosen indices are copied, into dst when it is large enough (see
+// Ints). The stream draw sequence is identical to the heap version.
+func sampleDistinctClustersInto(a *Arena, dst []int, r *rng.Stream, k, n int) []int {
 	if a == nil {
 		return sampleDistinctClusters(r, k, n)
 	}
@@ -219,5 +257,5 @@ func sampleDistinctClustersInto(a *Arena, r *rng.Stream, k, n int) []int {
 		j := i + r.Intn(n-i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	return a.CopyInts(perm[:k])
+	return a.CopyInts(dst, perm[:k])
 }

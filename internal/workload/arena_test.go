@@ -12,7 +12,7 @@ func TestArenaJobZeroedAfterReset(t *testing.T) {
 	j := a.Job()
 	j.ID = 42
 	j.TotalSize = 7
-	j.Components = a.Ints(3)
+	j.Components = a.Ints(nil, 3)
 	a.Reset()
 	j2 := a.Job()
 	if j2.ID != 0 || j2.TotalSize != 0 || j2.Components != nil {
@@ -22,8 +22,8 @@ func TestArenaJobZeroedAfterReset(t *testing.T) {
 
 func TestArenaIntsCapPinned(t *testing.T) {
 	a := NewArena()
-	s1 := a.Ints(3)
-	s2 := a.Ints(3)
+	s1 := a.Ints(nil, 3)
+	s2 := a.Ints(nil, 3)
 	if cap(s1) != 3 {
 		t.Fatalf("carved slice cap = %d, want 3 (full slice expression)", cap(s1))
 	}
@@ -36,10 +36,10 @@ func TestArenaIntsCapPinned(t *testing.T) {
 
 func TestArenaIntsZeroed(t *testing.T) {
 	a := NewArena()
-	s := a.Ints(4)
+	s := a.Ints(nil, 4)
 	copy(s, []int{1, 2, 3, 4})
 	a.Reset()
-	s2 := a.Ints(4)
+	s2 := a.Ints(nil, 4)
 	for i, v := range s2 {
 		if v != 0 {
 			t.Fatalf("recycled carve not zeroed at %d: %v", i, s2)
@@ -49,7 +49,7 @@ func TestArenaIntsZeroed(t *testing.T) {
 
 func TestArenaLargeCarve(t *testing.T) {
 	a := NewArena()
-	s := a.Ints(3 * arenaIntBlock)
+	s := a.Ints(nil, 3*arenaIntBlock)
 	if len(s) != 3*arenaIntBlock {
 		t.Fatalf("oversized carve length %d", len(s))
 	}
@@ -61,13 +61,60 @@ func TestArenaNilFallback(t *testing.T) {
 	if j == nil {
 		t.Fatal("nil arena Job returned nil")
 	}
-	if s := a.Ints(2); len(s) != 2 {
+	if s := a.Ints(nil, 2); len(s) != 2 {
 		t.Fatalf("nil arena Ints(2) = %v", s)
 	}
-	if s := a.CopyInts([]int{5, 6}); !reflect.DeepEqual(s, []int{5, 6}) {
+	if s := a.CopyInts(nil, []int{5, 6}); !reflect.DeepEqual(s, []int{5, 6}) {
 		t.Fatalf("nil arena CopyInts = %v", s)
 	}
-	a.Reset() // must not panic
+	a.Release(j) // must not panic
+	a.Reset()
+}
+
+// TestArenaReleaseReusesSlot pins the free list: a released slot is the
+// next Job, it comes back zeroed but for its int buffers, those buffers
+// are refilled in place when they are large enough, and Reset empties
+// the free list.
+func TestArenaReleaseReusesSlot(t *testing.T) {
+	spec := Spec{ComponentLimit: 16, Clusters: 4, ExtensionFactor: DefaultExtensionFactor}
+	a := NewArena()
+	j := spec.JobFromDraws(a, 40, 100) // three components
+	j.ID = 7
+	j.Placement = a.CopyInts(j.Placement, []int{2, 0, 1})
+	comps, place := &j.Components[0], &j.Placement[0]
+	a.Release(j)
+
+	k := a.Job()
+	if k != j {
+		t.Fatal("the released slot is not the next Job")
+	}
+	if k.ID != 0 || len(k.Components) != 0 || len(k.Placement) != 0 || k.OrderedPlacement != nil {
+		t.Fatalf("recycled slot not cleared: %+v", *k)
+	}
+	a.Release(k)
+	k = spec.JobFromDraws(a, 20, 50) // two components fit the old buffer
+	if k != j || &k.Components[0] != comps {
+		t.Fatal("JobFromDraws did not refill the released slot's component buffer")
+	}
+	if !reflect.DeepEqual(k.Components, []int{10, 10}) || k.ExtendedServiceTime != 50*DefaultExtensionFactor {
+		t.Fatalf("refilled job %+v", *k)
+	}
+	if k.Placement = a.CopyInts(k.Placement, []int{3, 1}); &k.Placement[0] != place {
+		t.Fatal("CopyInts did not refill the released slot's placement buffer")
+	}
+	a.Release(k)
+	if k = spec.JobFromDraws(a, 64, 1); &k.Components[0] == comps || len(k.Components) != 4 {
+		t.Fatalf("four components written into a three-int buffer: %v", k.Components)
+	}
+
+	a.Release(k)
+	a.Reset()
+	if len(a.free) != 0 {
+		t.Fatalf("Reset left %d released slots", len(a.free))
+	}
+	if k = a.Job(); k.Components != nil || k.Placement != nil {
+		t.Fatalf("first Job after Reset kept buffers: %+v", *k)
+	}
 }
 
 func TestAppendSplitMatchesSplit(t *testing.T) {
