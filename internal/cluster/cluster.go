@@ -8,10 +8,7 @@
 // First Fit and Best Fit are provided for the ablation benchmarks.
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Fit selects a placement rule.
 type Fit int
@@ -52,8 +49,9 @@ type Multicluster struct {
 	// Reusable scratch so the per-event Alloc/Release checks are
 	// allocation-free. A Multicluster is single-simulation state and is
 	// never shared across goroutines, so plain fields suffice.
-	scrSeen []bool
-	scrRel  []int
+	scrSeen  []bool
+	scrRel   []int
+	scrOrder []int
 }
 
 // New returns a multicluster with the given per-cluster processor counts.
@@ -62,11 +60,12 @@ func New(sizes []int) *Multicluster {
 		panic("cluster: New with no clusters")
 	}
 	m := &Multicluster{
-		sizes:   make([]int, len(sizes)),
-		idle:    make([]int, len(sizes)),
-		down:    make([]int, len(sizes)),
-		scrSeen: make([]bool, len(sizes)),
-		scrRel:  make([]int, len(sizes)),
+		sizes:    make([]int, len(sizes)),
+		idle:     make([]int, len(sizes)),
+		down:     make([]int, len(sizes)),
+		scrSeen:  make([]bool, len(sizes)),
+		scrRel:   make([]int, len(sizes)),
+		scrOrder: make([]int, len(sizes)),
 	}
 	for i, s := range sizes {
 		if s <= 0 {
@@ -239,24 +238,31 @@ func (m *Multicluster) FitsOrdered(components, placement []int) bool {
 
 // CarveFlexible splits a flexible request of the given total size over the
 // clusters, taking greedily from the cluster with the most idle processors
-// first (Worst Fit in spirit: it keeps the load spread). It returns the
-// chosen component sizes (nonincreasing) with their clusters, or ok=false
-// when the total exceeds the idle capacity of the whole system.
-func (m *Multicluster) CarveFlexible(total int) (components, placement []int, ok bool) {
+// first (Worst Fit in spirit: it keeps the load spread). It appends the
+// chosen component sizes (nonincreasing) to components[:0] and their
+// clusters to placement[:0], and returns both; ok is false, and neither
+// buffer is touched, when the total exceeds the idle capacity of the whole
+// system. Buffers with room for one entry per cluster make the call
+// allocation-free.
+func (m *Multicluster) CarveFlexible(total int, components, placement []int) ([]int, []int, bool) {
 	if total <= 0 {
 		panic(fmt.Sprintf("cluster: CarveFlexible(%d)", total))
 	}
 	if total > m.TotalIdle() {
-		return nil, nil, false
+		return components, placement, false
 	}
-	// Order clusters by idle count, descending (stable by index).
-	order := make([]int, len(m.sizes))
+	// Order clusters by idle count, descending, stable by index: an
+	// insertion sort moves a cluster only past clusters with fewer idle.
+	order := m.scrOrder
 	for i := range order {
-		order[i] = i
+		c, k := i, i
+		for k > 0 && m.idle[order[k-1]] < m.idle[c] {
+			order[k] = order[k-1]
+			k--
+		}
+		order[k] = c
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return m.idle[order[a]] > m.idle[order[b]]
-	})
+	components, placement = components[:0], placement[:0]
 	remaining := total
 	for _, c := range order {
 		if remaining == 0 {

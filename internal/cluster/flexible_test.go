@@ -31,7 +31,7 @@ func TestFitsOrdered(t *testing.T) {
 func TestCarveFlexibleSpansGreedily(t *testing.T) {
 	m := New([]int{32, 32, 32, 32})
 	m.Alloc([]int{20}, []int{0}) // idle: 12, 32, 32, 32
-	comps, placement, ok := m.CarveFlexible(70)
+	comps, placement, ok := m.CarveFlexible(70, nil, nil)
 	if !ok {
 		t.Fatal("70 processors must fit in 108 idle")
 	}
@@ -51,7 +51,7 @@ func TestCarveFlexibleSpansGreedily(t *testing.T) {
 
 func TestCarveFlexibleSingleCluster(t *testing.T) {
 	m := New([]int{32, 32})
-	comps, placement, ok := m.CarveFlexible(10)
+	comps, placement, ok := m.CarveFlexible(10, nil, nil)
 	if !ok || len(comps) != 1 || comps[0] != 10 {
 		t.Fatalf("carve %v on %v ok=%v", comps, placement, ok)
 	}
@@ -59,10 +59,10 @@ func TestCarveFlexibleSingleCluster(t *testing.T) {
 
 func TestCarveFlexibleRejectsOverflow(t *testing.T) {
 	m := New([]int{8, 8})
-	if _, _, ok := m.CarveFlexible(17); ok {
+	if _, _, ok := m.CarveFlexible(17, nil, nil); ok {
 		t.Error("17 processors carved out of 16 idle")
 	}
-	if _, _, ok := m.CarveFlexible(16); !ok {
+	if _, _, ok := m.CarveFlexible(16, nil, nil); !ok {
 		t.Error("exact-capacity carve rejected")
 	}
 }
@@ -73,7 +73,7 @@ func TestCarveFlexiblePanics(t *testing.T) {
 			t.Error("CarveFlexible(0) did not panic")
 		}
 	}()
-	New([]int{8}).CarveFlexible(0)
+	New([]int{8}).CarveFlexible(0, nil, nil)
 }
 
 // TestCarveFlexibleProperty: any successful carve sums to the total, uses
@@ -94,7 +94,7 @@ func TestCarveFlexibleProperty(t *testing.T) {
 			}
 		}
 		total := 1 + r.Intn(m.Capacity())
-		comps, placement, ok := m.CarveFlexible(total)
+		comps, placement, ok := m.CarveFlexible(total, nil, nil)
 		if ok != (total <= m.TotalIdle()) {
 			return false
 		}

@@ -64,19 +64,26 @@ func TestDispatchZeroAlloc(t *testing.T) {
 // bound leaves room only for the occasional slice doubling. A policy
 // whose hot path allocates per job (a queue that reallocates its backing
 // array, a probe that escapes) shows up as a slope near or above one.
+// GS also runs flexible requests, whose split is carved at every
+// placement attempt.
 func TestAllocationsFlatInRunLength(t *testing.T) {
 	const n = 2000
 	cases := []struct {
 		label string
 		fs    *faults.Spec
 		sweep bool
+		rt    workload.RequestType
 	}{
-		{"faults-zero-rate", &faults.Spec{MTBF: 0, MTTR: 900}, false},
-		{"decisions-off", nil, false},
-		{"sweep-stats", nil, true},
+		{"faults-zero-rate", &faults.Spec{MTBF: 0, MTTR: 900}, false, workload.Unordered},
+		{"decisions-off", nil, false, workload.Unordered},
+		{"sweep-stats", nil, true, workload.Unordered},
+		{"flexible", nil, false, workload.Flexible},
 	}
 	for _, policy := range []string{"GS", "LS", "LP", "GS-EASY", "GS-CONS", "GS-SPF"} {
 		for _, c := range cases {
+			if c.rt != workload.Unordered && policy != "GS" {
+				continue
+			}
 			t.Run(policy+"/"+c.label, func(t *testing.T) {
 				allocs := func(measure int) float64 {
 					cfg := Config{
@@ -89,6 +96,7 @@ func TestAllocationsFlatInRunLength(t *testing.T) {
 						Faults:       c.fs,
 						Decisions:    nil,
 						SweepStats:   c.sweep,
+						RequestType:  c.rt,
 					}
 					return testing.AllocsPerRun(1, func() {
 						if _, err := RunAtUtilization(cfg, 0.5); err != nil {

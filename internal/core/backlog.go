@@ -52,7 +52,7 @@ func (c *BacklogConfig) validate() (policies.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSpec(c.Spec, len(c.ClusterSizes)); err != nil {
+	if err := checkSpec(c.Spec, c.system(), pol, workload.Unordered); err != nil {
 		return nil, err
 	}
 	if c.Backlog <= 0 {

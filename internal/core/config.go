@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"coalloc/internal/cluster"
 	"coalloc/internal/dectrace"
@@ -133,7 +134,7 @@ func (c *Config) validate() (policies.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSpec(c.Spec, len(c.ClusterSizes)); err != nil {
+	if err := checkSpec(c.Spec, c.system(), pol, c.RequestType); err != nil {
 		return nil, err
 	}
 	if !(c.ArrivalRate > 0) || math.IsInf(c.ArrivalRate, 0) {
@@ -201,14 +202,48 @@ func (sys system) build() (policies.Policy, error) {
 	return buildPolicy(sys.policy, len(sys.clusters), sys.fit, sys.lookahead)
 }
 
-// checkSpec validates a workload spec against the multicluster it splits
-// over.
-func checkSpec(spec workload.Spec, clusters int) error {
+// checkSpec validates a workload spec against the system it runs on, whose
+// clusters system.build has checked and whose policy it built. Every size
+// the spec draws must, as a request of type rt, fit the empty system: a
+// job that never fits blocks its FCFS queue for good, and a run that stops
+// by job count never ends.
+func checkSpec(spec workload.Spec, sys system, pol policies.Policy, rt workload.RequestType) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if spec.Clusters != clusters {
-		return fmt.Errorf("core: spec splits over %d clusters but system has %d", spec.Clusters, clusters)
+	nc := len(sys.clusters)
+	if spec.Clusters != nc {
+		return fmt.Errorf("core: spec splits over %d clusters but system has %d", spec.Clusters, nc)
+	}
+	// LS and LP confine a single component to its local cluster, so the
+	// smallest cluster that receives jobs must hold it.
+	local := math.MaxInt
+	switch pol.(type) {
+	case *policies.LS, *policies.LP:
+		for c, n := range sys.clusters {
+			if sys.weights == nil || sys.weights[c] > 0 {
+				local = min(local, n)
+			}
+		}
+	}
+	m, s := cluster.New(sys.clusters), policies.NewScratch(nc)
+	for _, size := range spec.Sizes.Values() {
+		var fits bool
+		switch rt {
+		case workload.Ordered: // on random clusters, the smallest included
+			fits = workload.Split(size, spec.ComponentLimit, nc)[0] <= slices.Min(sys.clusters)
+		case workload.Flexible:
+			fits = size <= m.Capacity()
+		case workload.Total:
+			fits = m.PlaceInto([]int{size}, sys.fit, s.Place, s.Used)
+		default: // Unordered
+			comps := workload.Split(size, spec.ComponentLimit, nc)
+			fits = m.PlaceInto(comps, sys.fit, s.Place, s.Used) && (len(comps) > 1 || size <= local)
+		}
+		if !fits {
+			return fmt.Errorf("core: %s request of size %d does not fit the empty clusters %v under %s",
+				rt, size, sys.clusters, sys.policy)
+		}
 	}
 	return nil
 }

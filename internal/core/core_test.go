@@ -371,6 +371,50 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsSizesThatNeverFit: a size no empty system can hold
+// would block the FCFS head for good, and Run would never return. Total
+// requests of DAS-s-128 on 4x32 are the case: every size above 32 is one
+// component no cluster holds. LS and LP also need room for a
+// single-component job on every cluster that receives jobs. The error
+// names the size and the clusters.
+func TestValidateRejectsSizesThatNeverFit(t *testing.T) {
+	base := Config{
+		ClusterSizes: []int{32, 32, 32, 32},
+		Spec:         testSpec(t, 16, 4),
+		Policy:       "GS",
+		ArrivalRate:  0.01,
+	}
+	small := base.Spec
+	small.Sizes = dist.NewEmpiricalInt([]int{4, 12, 24}, []float64{1, 1, 1})
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"total requests", func(c *Config) { c.RequestType = workload.Total }, "total request of size 33 does not fit the empty clusters [32 32 32 32]"},
+		{"a cluster too small for the split", func(c *Config) { c.ClusterSizes = []int{32, 32, 32, 16} }, "unordered request of size 68 does not fit the empty clusters [32 32 32 16]"},
+		{"ordered on a small cluster", func(c *Config) {
+			c.ClusterSizes, c.RequestType = []int{32, 32, 32, 8}, workload.Ordered
+		}, "ordered request of size 9 does not fit"},
+		{"LS local cluster", func(c *Config) { c.ClusterSizes, c.Spec, c.Policy = []int{32, 32, 32, 8}, small, "LS" },
+			"unordered request of size 12 does not fit the empty clusters [32 32 32 8] under LS"},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		cfg.applyDefaults()
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// A queue that receives no jobs needs no room for them.
+	cfg := base
+	cfg.ClusterSizes, cfg.Spec, cfg.Policy, cfg.QueueWeights = []int{32, 32, 32, 8}, small, "LS", []float64{1, 1, 1, 0}
+	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("LS with no jobs routed to the small cluster: %v", err)
+	}
+}
+
 func TestBalancedUnbalancedWeights(t *testing.T) {
 	b := Balanced(4)
 	for _, w := range b {

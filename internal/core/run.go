@@ -709,7 +709,7 @@ func boundedSlowdown(response, service float64) float64 {
 // the utilization are validated first, since the arrival rate is derived
 // from both.
 func RunAtUtilization(cfg Config, grossUtil float64) (Result, error) {
-	if err := checkSpec(cfg.Spec, len(cfg.ClusterSizes)); err != nil {
+	if err := cfg.Spec.Validate(); err != nil {
 		return Result{}, err
 	}
 	if !(grossUtil > 0) || math.IsInf(grossUtil, 0) {

@@ -51,8 +51,10 @@ type resv struct {
 // lookahead window; a full pass re-derives everything from the base
 // profile. Any event the stability argument does not cover — an early
 // release, an overdue-departure tie, the very first pass — invalidates
-// resvOK and forces the full pass. TestConservativeElisionEquivalence pins
-// the two modes bit-identical over random streams.
+// resvOK and forces the full pass. TestConservativeLockstepAudit pins the
+// two modes bit-identical against a full-pass twin over random streams, and
+// TestReferenceMatchesReplay (package core) checks whole replays against a
+// plain reference scheduler.
 type Conservative struct {
 	q         queues.FIFO
 	fit       cluster.Fit
@@ -123,15 +125,9 @@ func (p *Conservative) Submit(ctx Ctx, j *workload.Job) {
 // retained reservations, else the fast pass after repairing a stale
 // prefix, else the full pass.
 func (p *Conservative) schedule(ctx Ctx) {
-	if elidePasses {
-		if p.fastPass(ctx) {
-			return
-		}
-		if p.tryRepair(ctx) && p.fastPass(ctx) {
-			return
-		}
+	if !p.fastPass(ctx) && !(p.tryRepair(ctx) && p.fastPass(ctx)) {
+		p.pass(ctx)
 	}
-	p.pass(ctx)
 }
 
 // JobDeparted drops the job from the running set and runs a pass. The
@@ -141,17 +137,10 @@ func (p *Conservative) schedule(ctx Ctx) {
 // departure before its forecast finish (an early release) changes the
 // profile and forces the full pass.
 func (p *Conservative) JobDeparted(ctx Ctx, j *workload.Job) {
-	for i := range p.running {
-		if p.running[i].job == j {
-			r := p.running[i]
-			p.running = append(p.running[:i], p.running[i+1:]...)
-			if r.finish > ctx.Now() {
-				p.releaseEarly(ctx.Now(), r)
-				p.resvOK = false
-				p.repairOK = false
-			}
-			break
-		}
+	if r, ok := dropRunning(&p.running, j); ok && r.finish > ctx.Now() {
+		p.releaseEarly(ctx.Now(), r)
+		p.resvOK = false
+		p.repairOK = false
 	}
 	p.recomputeNextFinish()
 	p.schedule(ctx)
@@ -166,17 +155,13 @@ func (p *Conservative) JobDeparted(ctx Ctx, j *workload.Job) {
 // does not cover it — so the elision state is invalidated wholesale and a
 // full pass re-derives every reservation against the repaired forecast.
 func (p *Conservative) JobKilled(ctx Ctx, victim *workload.Job, c int) {
-	for i := range p.running {
-		if p.running[i].job == victim {
-			r := p.running[i]
-			p.running = append(p.running[:i], p.running[i+1:]...)
-			p.releaseEarly(ctx.Now(), r)
-			p.recomputeNextFinish()
-			p.adjustCapacity(ctx, c, -1)
-			return
-		}
+	r, ok := dropRunning(&p.running, victim)
+	if !ok {
+		panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
 	}
-	panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
+	p.releaseEarly(ctx.Now(), r)
+	p.recomputeNextFinish()
+	p.adjustCapacity(ctx, c, -1)
 }
 
 // CapacityLost folds a silent failure — one idle processor of cluster c

@@ -57,6 +57,18 @@ type runInfo struct {
 	placement []int
 }
 
+// dropRunning removes j's record from a running set, keeping the order of
+// the others, and returns it; ok is false when j is not in the set.
+func dropRunning(running *[]runInfo, j *workload.Job) (r runInfo, ok bool) {
+	for i := range *running {
+		if r = (*running)[i]; r.job == j {
+			*running = append((*running)[:i], (*running)[i+1:]...)
+			return r, true
+		}
+	}
+	return runInfo{}, false
+}
+
 // NewEASY returns the EASY-backfilling global scheduler. On a one-cluster
 // system it is the SC-EASY reference.
 func NewEASY(fit cluster.Fit) *EASY { return &EASY{fit: fit} }
@@ -65,8 +77,8 @@ func NewEASY(fit cluster.Fit) *EASY { return &EASY{fit: fit} }
 func (p *EASY) Submit(ctx Ctx, j *workload.Job) {
 	j.Queue = workload.GlobalQueue
 	p.q.Push(j)
-	if elidePasses && p.stuck {
-		p.elidedPass(ctx)
+	if p.stuck {
+		skipBlockedPass(ctx)
 		return
 	}
 	p.pass(ctx)
@@ -75,14 +87,9 @@ func (p *EASY) Submit(ctx Ctx, j *workload.Job) {
 // JobDeparted drops the job from the running set and runs a pass. The
 // removal preserves the finish-time ordering.
 func (p *EASY) JobDeparted(ctx Ctx, j *workload.Job) {
-	for i := range p.running {
-		if p.running[i].job == j {
-			p.running = append(p.running[:i], p.running[i+1:]...)
-			break
-		}
-	}
-	if elidePasses && p.stuck {
-		p.elidedPass(ctx)
+	dropRunning(&p.running, j)
+	if p.stuck {
+		skipBlockedPass(ctx)
 		return
 	}
 	p.pass(ctx)
@@ -95,14 +102,10 @@ func (p *EASY) JobDeparted(ctx Ctx, j *workload.Job) {
 // holds no state beyond the running set, so removal plus a pass is the
 // whole repair.
 func (p *EASY) JobKilled(ctx Ctx, victim *workload.Job, _ int) {
-	for i := range p.running {
-		if p.running[i].job == victim {
-			p.running = append(p.running[:i], p.running[i+1:]...)
-			p.pass(ctx)
-			return
-		}
+	if _, ok := dropRunning(&p.running, victim); !ok {
+		panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
 	}
-	panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
+	p.pass(ctx)
 }
 
 // CapacityLost is a no-op (Policy): EASY derives every
@@ -117,16 +120,6 @@ func (p *EASY) CapacityLost(Ctx, int) {}
 // other event — it raises the up capacity, so the pass re-derives the
 // stuck watermark from scratch.
 func (p *EASY) CapacityRestored(ctx Ctx, _ int) { p.pass(ctx) }
-
-// elidedPass emits the counters a full pass over a forever-stuck head
-// would: the pass, the head miss, and then the +Inf reservation returns
-// before any backfill attempt.
-func (p *EASY) elidedPass(ctx Ctx) {
-	o := ctx.Obs()
-	o.Pass()
-	o.HeadMiss(workload.GlobalQueue)
-	o.PassSkipped()
-}
 
 // start dispatches a job and inserts it into the running set in
 // finish-time order, so earliestFit never needs to sort. The runInfo

@@ -20,9 +20,6 @@ import (
 // probability stands in for the MTBF axis of the core-level tests: a
 // higher rate packs more capacity churn into the same stream length.
 func TestProfileRepairDifferential(t *testing.T) {
-	// check() rebuilds into the policy's retained scratch profile; run with
-	// full passes only so the policy never trusts clobbered scratch.
-	defer SetPassElision(SetPassElision(false))
 	for _, rate := range []float64{0.05, 0.15, 0.30} {
 		for seed := uint64(1); seed <= 12; seed++ {
 			profileRepairDifferential(t, seed, rate)
@@ -63,8 +60,10 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 				comps[i] = comps[i-1]
 			}
 		}
-		p.Submit(ctx, svcJob(nextID, 1+r.Float64()*100, comps...))
+		fullPasses(p).Submit(ctx, svcJob(nextID, 1+r.Float64()*100, comps...))
 	}
+	// check rebuilds into the retained scratch profile, so every scheduling
+	// call goes through fullPasses: the policy never trusts clobbered scratch.
 	check := func(what string) {
 		t.Helper()
 		got := p.passProfile(ctx.m, ctx.now)
@@ -158,7 +157,7 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 				ctx.now += r.Float64() * (math.Min(dt, f) - ctx.now)
 			}
 			delete(finish, ej)
-			ctx.finish(p, ej)
+			ctx.finish(fullPasses(p), ej)
 			record()
 			check("early departure")
 			continue
@@ -177,7 +176,7 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 		} else {
 			ctx.now = dt
 			delete(finish, dj)
-			ctx.finish(p, dj)
+			ctx.finish(fullPasses(p), dj)
 			record()
 			check("departure")
 		}
@@ -189,14 +188,13 @@ func profileRepairDifferential(t *testing.T, seed uint64, rate float64) {
 // returns to the profile minus the processor the failure consumed, and the
 // forced full pass dispatches a queued job into the released capacity.
 func TestConservativeJobKilledRepairsProfile(t *testing.T) {
-	defer SetPassElision(SetPassElision(false))
 	ctx := newMockCtx(32)
 	p := NewConservative(cluster.WorstFit, DefaultLookahead)
 	j1 := svcJob(1, 100, 20)
 	j2 := svcJob(2, 100, 12)
-	p.Submit(ctx, j1)
-	p.Submit(ctx, j2)
-	p.Submit(ctx, svcJob(3, 10, 11)) // blocked: 0 idle; reserved at t=100
+	fullPasses(p).Submit(ctx, j1)
+	fullPasses(p).Submit(ctx, j2)
+	fullPasses(p).Submit(ctx, svcJob(3, 10, 11)) // blocked: 0 idle; reserved at t=100
 	wantIDs(t, ctx.ids(), 1, 2)
 
 	// A failure lands on the fully busy cluster at t=30 and aborts job 2:
@@ -229,11 +227,12 @@ func TestConservativeJobKilledRepairsProfile(t *testing.T) {
 // and the repair re-derives the verdict — the job gets its finite
 // reservation back. The profile matches a rebuild at every stage.
 func TestConservativeCapacityRoundTrip(t *testing.T) {
-	defer SetPassElision(SetPassElision(false))
 	ctx := newMockCtx(32)
 	p := NewConservative(cluster.WorstFit, DefaultLookahead)
-	p.Submit(ctx, svcJob(1, 100, 24)) // runs until t=100; 8 idle
+	fullPasses(p).Submit(ctx, svcJob(1, 100, 24)) // runs until t=100; 8 idle
 
+	// checkProfile rebuilds into the retained scratch profile, so the
+	// scheduling calls go through fullPasses.
 	checkProfile := func(stage string) {
 		t.Helper()
 		got := p.passProfile(ctx.m, ctx.now)
@@ -253,8 +252,8 @@ func TestConservativeCapacityRoundTrip(t *testing.T) {
 
 	// A full-machine job can never fit at capacity 31: +Inf, holds no
 	// window, so a small job behind it starts immediately.
-	p.Submit(ctx, svcJob(2, 50, 32))
-	p.Submit(ctx, svcJob(3, 10, 7))
+	fullPasses(p).Submit(ctx, svcJob(2, 50, 32))
+	fullPasses(p).Submit(ctx, svcJob(3, 10, 7))
 	wantIDs(t, ctx.ids(), 1, 3)
 	if len(p.resvs) != 1 || !math.IsInf(p.resvs[0].t, 1) {
 		t.Fatalf("full-machine job at capacity 31: resvs %+v, want one +Inf entry", p.resvs)
@@ -305,7 +304,6 @@ func TestEASYJobKilledReleasesVictim(t *testing.T) {
 // repair's full pass re-derives it against the restored capacity and
 // starts the head.
 func TestEASYStuckHeadUnsticksOnRepair(t *testing.T) {
-	defer SetPassElision(SetPassElision(true))
 	ctx := newMockCtx(8)
 	p := NewEASY(cluster.WorstFit)
 	ctx.m.Fail(0)

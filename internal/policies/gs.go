@@ -33,14 +33,22 @@ func NewGS(fit cluster.Fit) *GS { return &GS{fit: fit} }
 func (p *GS) Submit(ctx Ctx, j *workload.Job) {
 	j.Queue = workload.GlobalQueue
 	p.q.Push(j)
-	if elidePasses && p.blocked {
-		o := ctx.Obs()
-		o.Pass()
-		o.HeadMiss(workload.GlobalQueue)
-		o.PassSkipped()
+	if p.blocked {
+		skipBlockedPass(ctx)
 		return
 	}
 	p.pass(ctx)
+}
+
+// skipBlockedPass counts a pass over a global queue whose head cannot
+// start, as the full pass would — the pass and the head miss — and marks
+// it skipped. GS and GS-SPF call it behind a blocked head; GS-EASY behind
+// a stuck one, whose +Inf reservation returns before any backfill attempt.
+func skipBlockedPass(ctx Ctx) {
+	o := ctx.Obs()
+	o.Pass()
+	o.HeadMiss(workload.GlobalQueue)
+	o.PassSkipped()
 }
 
 // JobDeparted runs a scheduling pass; freed processors may admit the head.
@@ -94,11 +102,13 @@ func (p *GS) placeFor(m *cluster.Multicluster, j *workload.Job, s *Scratch) ([]i
 		}
 		return nil, false
 	case workload.Flexible:
-		components, placement, ok := m.CarveFlexible(j.TotalSize)
+		// The split goes into the job's own component buffer, which the
+		// arena keeps for the slot's next job; the dispatcher recomputes
+		// the extension from it.
+		components, placement, ok := m.CarveFlexible(j.TotalSize, j.Components, s.Place)
 		if !ok {
 			return nil, false
 		}
-		// The dispatcher recomputes the extension from this split.
 		j.Components = components
 		return placement, true
 	default: // Unordered and Total (a single pseudo-component).

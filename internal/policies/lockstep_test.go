@@ -1,46 +1,254 @@
 package policies
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"coalloc/internal/cluster"
+	"coalloc/internal/obs"
 	"coalloc/internal/rng"
 	"coalloc/internal/workload"
 )
 
-// TestConservativeLockstepAudit runs two Conservative policies through one
-// random stream in lockstep — one forced to full passes, one with elision —
-// and after every event checks (a) the dispatch decisions match exactly,
-// and (b) whenever the elided policy claims its retained reservations are
-// valid (resvOK), re-deriving every stored reservation from a fresh clone
-// of the base profile reproduces the stored start time and placement. The
-// audit is the direct statement of the retained-reservation invariant the
-// fast pass and tryRepair rely on; the end-to-end equivalence test
-// (TestConservativeElisionEquivalence) only observes its consequences.
+// fullPasses clears p's retained-reservation state and returns p. fastPass
+// and tryRepair then return before touching any state, so the next call
+// falls through to the full pass. Called before every call, it makes p the
+// full-pass twin of an instance that elides.
+func fullPasses(p *Conservative) *Conservative {
+	p.resvOK, p.repairOK = false, false
+	return p
+}
+
+// stripElisionMetrics removes the sched.passes_skipped and
+// sched.passes_repaired lines — the only metrics allowed to differ between
+// elided and full-pass runs.
+func stripElisionMetrics(s string) string {
+	lines := strings.Split(s, "\n")
+	kept := lines[:0]
+	for _, l := range lines {
+		if strings.Contains(l, "sched.passes_skipped") || strings.Contains(l, "sched.passes_repaired") {
+			continue
+		}
+		kept = append(kept, l)
+	}
+	return strings.Join(kept, "\n")
+}
+
+// fullPassTwin drives one policy instance with its pass elision off:
+// before every call it clears the instance's elision state (clear), and
+// where the elision sits in Submit itself, as in LS and LP, it replaces
+// Submit by the push and a full pass (submit). Run beside an instance
+// that elides, it is that instance's full-pass twin.
+type fullPassTwin struct {
+	Policy
+	clear  func()
+	submit func(Ctx, *workload.Job)
+}
+
+func (f fullPassTwin) Submit(ctx Ctx, j *workload.Job) {
+	f.clear()
+	if f.submit != nil {
+		f.submit(ctx, j)
+		return
+	}
+	f.Policy.Submit(ctx, j)
+}
+
+func (f fullPassTwin) JobDeparted(ctx Ctx, j *workload.Job) {
+	f.clear()
+	f.Policy.JobDeparted(ctx, j)
+}
+
+func (f fullPassTwin) CapacityLost(ctx Ctx, c int) {
+	f.clear()
+	f.Policy.CapacityLost(ctx, c)
+}
+
+func (f fullPassTwin) CapacityRestored(ctx Ctx, c int) {
+	f.clear()
+	f.Policy.CapacityRestored(ctx, c)
+}
+
+func (f fullPassTwin) JobKilled(ctx Ctx, victim *workload.Job, c int) {
+	f.clear()
+	f.Policy.JobKilled(ctx, victim, c)
+}
+
+// lockstepCase is one policy family of the lockstep audit.
+type lockstepCase struct {
+	name string
+	// pair builds an instance that elides and its full-pass twin for a
+	// system of nc clusters.
+	pair func(nc int, fit cluster.Fit) (elided, full Policy)
+	// audit, when set, checks the eliding instance's retained state
+	// after every event.
+	audit func(elided Policy, now float64) error
+	// backlog is the queue length below which arrivals are favoured.
+	backlog int
+}
+
+func noClear() {}
+
+// lockstepFamilies are the families whose elision the lockstep audit
+// checks besides GS-CONS (conservativeCase). GS and GS-SPF elide a Submit
+// behind a blocked head, GS-EASY every pass over a head the up capacity
+// can never hold, and LS and LP a Submit into a queue their pass does not
+// visit.
+var lockstepFamilies = []lockstepCase{
+	{name: "GS", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		f := NewGS(fit)
+		return NewGS(fit), fullPassTwin{Policy: f, clear: func() { f.blocked = false }}
+	}},
+	{name: "GS-SPF", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		f := NewSPF(fit)
+		return NewSPF(fit), fullPassTwin{Policy: f, clear: func() { f.blocked = false }}
+	}},
+	{name: "GS-EASY", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		f := NewEASY(fit)
+		return NewEASY(fit), fullPassTwin{Policy: f, clear: func() { f.stuck = false }}
+	}},
+	{name: "LS", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		return NewLS(nc, fit), lsTwin(NewLS(nc, fit))
+	}},
+	{name: "LS-sorted", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		return NewLSSortedReenable(nc, fit), lsTwin(NewLSSortedReenable(nc, fit))
+	}},
+	{name: "LP", backlog: 12, pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+		f := NewLP(nc, fit)
+		return NewLP(nc, fit), fullPassTwin{Policy: f, clear: noClear, submit: func(ctx Ctx, j *workload.Job) {
+			if j.Multi() {
+				j.Queue = workload.GlobalQueue
+				f.global.Push(j)
+			} else {
+				f.locals[j.Queue].Push(j)
+			}
+			f.pass(ctx)
+		}}
+	}},
+}
+
+func lsTwin(f *LS) fullPassTwin {
+	return fullPassTwin{Policy: f, clear: noClear, submit: func(ctx Ctx, j *workload.Job) {
+		f.qs[j.Queue].Push(j)
+		f.pass(ctx)
+	}}
+}
+
+// conservativeCase is GS-CONS with the given lookahead. Its twin clears
+// the retained reservations before every call (fullPasses), and its audit
+// re-derives every retained reservation whenever the eliding instance
+// claims them valid.
+func conservativeCase(lookahead int) lockstepCase {
+	return lockstepCase{
+		name:    fmt.Sprintf("GS-CONS lookahead %d", lookahead),
+		backlog: 3 * lookahead,
+		pair: func(nc int, fit cluster.Fit) (Policy, Policy) {
+			f := NewConservative(fit, lookahead)
+			return NewConservative(fit, lookahead), fullPassTwin{Policy: f, clear: func() { fullPasses(f) }}
+		},
+		audit: func(elided Policy, now float64) error { return auditReservations(elided.(*Conservative), now) },
+	}
+}
+
+// auditReservations re-derives every reservation p retains from a fresh
+// clone of its base profile, in order, and reports the first whose stored
+// start time or placement differs. It checks nothing while p does not
+// claim its reservations valid (resvOK).
+func auditReservations(p *Conservative, now float64) error {
+	if !p.resvOK {
+		return nil
+	}
+	var tmp profile
+	p.base.trim(now)
+	prof := p.base.cloneInto(&tmp)
+	nc := len(p.availVec)
+	for i := range p.resvs {
+		rv := p.resvs[i]
+		j := rv.job
+		if math.IsInf(rv.t, 1) {
+			continue // never-fits: +Inf is invariant, holds no window
+		}
+		tt, place := prof.earliestStart(j.Components, j.RemainingTime(), p.fit)
+		if tt != rv.t {
+			return fmt.Errorf("resv %d job %d stored t=%g, re-derived %g", i, j.ID, rv.t, tt)
+		}
+		for c := 0; c < len(j.Components); c++ {
+			if place[c] != p.resvPlace[i*nc+c] {
+				return fmt.Errorf("resv %d job %d stored place %v, re-derived %v",
+					i, j.ID, p.resvPlace[i*nc:i*nc+len(j.Components)], place)
+			}
+		}
+		prof.reserve(j.Components, place, tt, rv.dur)
+	}
+	return nil
+}
+
+// TestConservativeLockstepAudit runs GS-CONS and its full-pass twin
+// through one random stream in lockstep (lockstepAudit) for every
+// lookahead regime: 1 = head-only, small values that force constant
+// window slide-in, and the default. Its audit is the direct statement of
+// the retained-reservation invariant the fast pass and tryRepair rely on.
+// Every run must skip passes.
 func TestConservativeLockstepAudit(t *testing.T) {
-	for _, lookahead := range []int{2, 4, DefaultLookahead} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			lockstepAudit(t, seed, lookahead, 0)
+	for _, lookahead := range []int{1, 2, 4, DefaultLookahead} {
+		for seed := uint64(1); seed <= 12; seed++ {
+			if lockstepAudit(t, conservativeCase(lookahead), seed, 0) == 0 {
+				t.Fatalf("lookahead %d seed %d: the eliding policy skipped no passes", lookahead, seed)
+			}
 		}
 	}
 }
 
-// TestConservativeLockstepAuditFaults reruns the lockstep audit with the
-// three fault hooks of Policy mixed into the stream, applied identically to
-// both policies: every fault invalidates the retained state and forces a
-// full pass, and the audit verifies the re-derived reservations whenever
-// the elided side publishes them again.
+// TestConservativeLockstepAuditFaults reruns the GS-CONS lockstep audit
+// with the three fault hooks of Policy mixed into the stream: every fault
+// invalidates the retained state and forces a full pass, and the audit
+// verifies the re-derived reservations whenever the elided side publishes
+// them again.
 func TestConservativeLockstepAuditFaults(t *testing.T) {
 	for _, lookahead := range []int{2, DefaultLookahead} {
 		for seed := uint64(1); seed <= 6; seed++ {
-			lockstepAudit(t, seed, lookahead, 0.12)
+			if lockstepAudit(t, conservativeCase(lookahead), seed, 0.12) == 0 {
+				t.Fatalf("lookahead %d seed %d: the eliding policy skipped no passes", lookahead, seed)
+			}
 		}
 	}
 }
 
-func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) {
+// TestLockstepAudit runs every other eliding family beside its full-pass
+// twin (lockstepFamilies), fault-free and with faults, kills and
+// resubmissions mixed in. Each family must skip passes over its seeds,
+// except GS-EASY fault-free: with the full capacity up, every job fits
+// the empty system, so its head is never stuck.
+func TestLockstepAudit(t *testing.T) {
+	for _, c := range lockstepFamilies {
+		for _, rate := range []float64{0, 0.12} {
+			t.Run(fmt.Sprintf("%s/faults%g", c.name, rate), func(t *testing.T) {
+				skipped := 0
+				for seed := uint64(1); seed <= 12; seed++ {
+					skipped += lockstepAudit(t, c, seed, rate)
+				}
+				if skipped == 0 && (c.name != "GS-EASY" || rate > 0) {
+					t.Error("the eliding policy skipped no passes")
+				}
+			})
+		}
+	}
+}
+
+// lockstepAudit runs an instance that elides and its full-pass twin
+// (lockstepCase.pair) through one random stream in lockstep: arrivals,
+// departures, early departures and, at faultRate, silent failures, kills
+// (whose victims are resubmitted later, some with checkpointed progress)
+// and repairs, each applied identically to both. After every event it
+// checks that both dispatched the same jobs on the same placements, and
+// runs the case's audit. At the end the JSONL disable and enable records
+// and every counter except the elision counters must match. It returns
+// the number of passes the eliding instance skipped.
+func lockstepAudit(t *testing.T, lc lockstepCase, seed uint64, faultRate float64) int {
 	t.Helper()
 	r := rng.NewStream(seed)
 	nc := 1 + r.Intn(4)
@@ -51,77 +259,67 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 	}
 	ctxA := newMockCtx(sizes...) // full passes
 	ctxB := newMockCtx(sizes...) // elided
+	var traceA, traceB bytes.Buffer
+	ctxA.obs, ctxB.obs = obs.New(&traceA), obs.New(&traceB)
 	fit := []cluster.Fit{cluster.WorstFit, cluster.BestFit, cluster.FirstFit}[r.Intn(3)]
-	var pA, pB *Conservative
 	if nc == 1 {
-		pA, pB = NewConservative(cluster.WorstFit, lookahead), NewConservative(cluster.WorstFit, lookahead)
-	} else {
-		pA, pB = NewConservative(fit, lookahead), NewConservative(fit, lookahead)
+		fit = cluster.WorstFit
 	}
+	pB, pA := lc.pair(nc, fit)
+	where := fmt.Sprintf("%s seed %d faults %g", lc.name, seed, faultRate)
 
 	finish := map[*workload.Job]float64{}
 	loggedA, loggedB := 0, 0
 	var nextID int64
 	jobsB := map[int64]*workload.Job{}
-
-	audit := func(what string) {
-		t.Helper()
-		if !pB.resvOK {
-			return
-		}
-		var tmp profile
-		pB.base.trim(ctxB.now)
-		prof := pB.base.cloneInto(&tmp)
-		for i := range pB.resvs {
-			rv := pB.resvs[i]
-			j := rv.job
-			if math.IsInf(rv.t, 1) {
-				continue // never-fits: +Inf is invariant, holds no window
-			}
-			tt, place := prof.earliestStart(j.Components, j.RemainingTime(), pB.fit)
-			if tt != rv.t {
-				t.Fatalf("seed %d lookahead %d: audit %s at t=%g: resv %d job %d stored t=%g, re-derived %g",
-					seed, lookahead, what, ctxB.now, i, j.ID, rv.t, tt)
-			}
-			for c := 0; c < len(j.Components); c++ {
-				if place[c] != pB.resvPlace[i*nc+c] {
-					t.Fatalf("seed %d lookahead %d: audit %s at t=%g: resv %d job %d stored place %v, re-derived %v",
-						seed, lookahead, what, ctxB.now, i, j.ID, pB.resvPlace[i*nc:i*nc+len(j.Components)], place)
-				}
-			}
-			prof.reserve(j.Components, place, tt, rv.dur)
-		}
-	}
+	var retry []*workload.Job // killed jobs of A awaiting resubmission
 
 	checkSync := func(what string) {
 		t.Helper()
-		audit(what)
+		if lc.audit != nil {
+			if err := lc.audit(pB, ctxB.now); err != nil {
+				t.Fatalf("%s: audit after %s at t=%g: %v", where, what, ctxB.now, err)
+			}
+		}
 		newA := ctxA.dispatched[loggedA:]
 		newB := ctxB.dispatched[loggedB:]
 		if len(newA) != len(newB) {
-			t.Fatalf("seed %d lookahead %d: after %s at t=%g: full dispatched %d jobs, elided %d",
-				seed, lookahead, what, ctxA.now, len(newA), len(newB))
+			t.Fatalf("%s: after %s at t=%g: full dispatched %d jobs, elided %d",
+				where, what, ctxA.now, len(newA), len(newB))
 		}
 		for i := range newA {
 			if newA[i].ID != newB[i].ID {
-				t.Fatalf("seed %d lookahead %d: after %s at t=%g: full started job %d, elided %d",
-					seed, lookahead, what, ctxA.now, newA[i].ID, newB[i].ID)
+				t.Fatalf("%s: after %s at t=%g: full started job %d, elided %d",
+					where, what, ctxA.now, newA[i].ID, newB[i].ID)
 			}
 			for c := range newA[i].Placement {
 				if newA[i].Placement[c] != newB[i].Placement[c] {
-					t.Fatalf("seed %d lookahead %d: after %s at t=%g job %d: placement %v vs %v",
-						seed, lookahead, what, ctxA.now, newA[i].ID, newA[i].Placement, newB[i].Placement)
+					t.Fatalf("%s: after %s at t=%g job %d: placement %v vs %v",
+						where, what, ctxA.now, newA[i].ID, newA[i].Placement, newB[i].Placement)
 				}
 			}
 		}
 		for ; loggedA < len(ctxA.dispatched); loggedA++ {
 			j := ctxA.dispatched[loggedA]
-			finish[j] = ctxA.now + j.ExtendedServiceTime
+			finish[j] = ctxA.now + j.RemainingTime()
 		}
 		loggedB = len(ctxB.dispatched)
 	}
 
 	submitBoth := func() {
+		if len(retry) > 0 && r.Float64() < 0.5 {
+			jA := retry[0]
+			retry = retry[1:]
+			jB := jobsB[jA.ID]
+			var ck float64
+			if r.Intn(2) == 0 {
+				ck = math.Floor(r.Float64() * jA.ExtendedServiceTime)
+			}
+			jA.Checkpointed, jB.Checkpointed = ck, ck
+			pA.Submit(ctxA, jA)
+			pB.Submit(ctxB, jB)
+			return
+		}
 		nextID++
 		n := 1 + r.Intn(nc)
 		comps := make([]int, n)
@@ -134,38 +332,30 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 			}
 		}
 		svc := 1 + r.Float64()*100
+		q := r.Intn(nc)
 		jA := svcJob(nextID, svc, comps...)
 		jB := svcJob(nextID, svc, comps...)
+		jA.Queue, jB.Queue = q, q
 		jobsB[nextID] = jB
-		prev := SetPassElision(false)
 		pA.Submit(ctxA, jA)
-		SetPassElision(true)
 		pB.Submit(ctxB, jB)
-		SetPassElision(prev)
 	}
 	finishBoth := func(j *workload.Job) {
-		jB := jobsB[j.ID]
-		prev := SetPassElision(false)
 		ctxA.finish(pA, j)
-		SetPassElision(true)
-		ctxB.finish(pB, jB)
-		SetPassElision(prev)
+		ctxB.finish(pB, jobsB[j.ID])
 	}
 
 	// faultEvent applies one fault event identically to both policies,
-	// reporting whether an applicable one existed; the audit runs after it
-	// like after any other event. Victim choice is deterministic (highest ID
-	// on the cluster) because the mock never sets StartTime.
+	// reporting whether an applicable one existed; the checks run after
+	// it like after any other event. Victim choice is deterministic
+	// (highest ID on the cluster) because the mock never sets StartTime.
 	faultEvent := func(now float64) bool {
 		t.Helper()
 		c := r.Intn(nc)
-		both := func(what string, ev func(p *Conservative, ctx *mockCtx)) {
+		both := func(what string, ev func(p Policy, ctx *mockCtx)) {
 			ctxA.now, ctxB.now = now, now
-			prev := SetPassElision(false)
 			ev(pA, ctxA)
-			SetPassElision(true)
 			ev(pB, ctxB)
-			SetPassElision(prev)
 			checkSync(what)
 		}
 		switch r.Intn(3) {
@@ -173,7 +363,7 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 			if ctxA.m.Idle(c) == 0 {
 				return false
 			}
-			both("silent failure", func(p *Conservative, ctx *mockCtx) {
+			both("silent failure", func(p Policy, ctx *mockCtx) {
 				ctx.m.Fail(c)
 				p.CapacityLost(ctx, c)
 			})
@@ -191,8 +381,9 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 				return false
 			}
 			delete(finish, victim)
+			retry = append(retry, victim)
 			vB := jobsB[victim.ID]
-			both("kill", func(p *Conservative, ctx *mockCtx) {
+			both("kill", func(p Policy, ctx *mockCtx) {
 				v := victim
 				if p == pB {
 					v = vB
@@ -205,7 +396,7 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 			if ctxA.m.Down(c) == 0 {
 				return false
 			}
-			both("repair", func(p *Conservative, ctx *mockCtx) {
+			both("repair", func(p Policy, ctx *mockCtx) {
 				ctx.m.Repair(c)
 				p.CapacityRestored(ctx, c)
 			})
@@ -249,7 +440,7 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 			checkSync("early departure")
 			continue
 		}
-		if dj == nil || (pA.Queued() < 3*lookahead && r.Float64() < 0.6) {
+		if dj == nil || (pA.Queued() < lc.backlog && r.Float64() < 0.6) {
 			var now float64
 			if dj != nil && r.Float64() < 0.2 {
 				now = dt
@@ -268,4 +459,25 @@ func lockstepAudit(t *testing.T, seed uint64, lookahead int, faultRate float64) 
 			checkSync("departure")
 		}
 	}
+
+	if err := ctxA.obs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctxB.obs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := traceA.String(), traceB.String(); a != b {
+		t.Fatalf("%s: queue transitions diverge\n--- full passes ---\n%s\n--- elided ---\n%s", where, a, b)
+	}
+	var metA, metB strings.Builder
+	if err := ctxA.obs.WriteText(&metA); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctxB.obs.WriteText(&metB); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := stripElisionMetrics(metA.String()), stripElisionMetrics(metB.String()); a != b {
+		t.Fatalf("%s: metrics diverge\n--- full passes ---\n%s\n--- elided ---\n%s", where, a, b)
+	}
+	return int(ctxB.obs.Metrics.Counter("sched.passes_skipped").Value())
 }

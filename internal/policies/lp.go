@@ -62,7 +62,7 @@ func (p *LP) Submit(ctx Ctx, j *workload.Job) {
 		p.locals[j.Queue].Push(j)
 		elide = !p.set.IsEnabled(j.Queue)
 	}
-	if elidePasses && elide {
+	if elide {
 		o := ctx.Obs()
 		o.Pass()
 		o.PassSkipped()

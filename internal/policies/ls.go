@@ -60,7 +60,7 @@ func (p *LS) Submit(ctx Ctx, j *workload.Job) {
 	// between passes. A job landing in a disabled queue is therefore
 	// invisible to its pass: every visited queue is empty, nothing can
 	// start — a provable no-op, elided.
-	if elidePasses && !p.set.IsEnabled(j.Queue) {
+	if !p.set.IsEnabled(j.Queue) {
 		o := ctx.Obs()
 		o.Pass()
 		o.PassSkipped()

@@ -71,10 +71,6 @@ func profileString(p *profile) string {
 // (trim-after-split), and jobs departing strictly before their forecast
 // finish (the releaseEarly path a preemptive Ctx or a fault kill takes).
 func TestIncrementalProfileMatchesRebuilt(t *testing.T) {
-	// check() calls passProfile directly, which rebuilds into the policy's
-	// retained scratch profile; run with full passes only so the policy
-	// never trusts scratch contents this test has clobbered.
-	defer SetPassElision(SetPassElision(false))
 	for seed := uint64(1); seed <= 30; seed++ {
 		r := rng.NewStream(seed)
 		nc := 1 + r.Intn(4)
@@ -107,8 +103,11 @@ func TestIncrementalProfileMatchesRebuilt(t *testing.T) {
 					comps[i] = comps[i-1]
 				}
 			}
-			p.Submit(ctx, svcJob(nextID, 1+r.Float64()*100, comps...))
+			fullPasses(p).Submit(ctx, svcJob(nextID, 1+r.Float64()*100, comps...))
 		}
+		// check calls passProfile, which rebuilds into the scratch profile
+		// the retained reservations live in, so every scheduling call goes
+		// through fullPasses: the policy never trusts clobbered scratch.
 		check := func(what string) {
 			t.Helper()
 			got := p.passProfile(ctx.m, ctx.now)
@@ -148,7 +147,7 @@ func TestIncrementalProfileMatchesRebuilt(t *testing.T) {
 					ctx.now += r.Float64() * (math.Min(dt, f) - ctx.now)
 				}
 				delete(finish, ej)
-				ctx.finish(p, ej)
+				ctx.finish(fullPasses(p), ej)
 				record()
 				check("early departure")
 				continue
@@ -173,7 +172,7 @@ func TestIncrementalProfileMatchesRebuilt(t *testing.T) {
 			} else {
 				ctx.now = dt
 				delete(finish, dj)
-				ctx.finish(p, dj)
+				ctx.finish(fullPasses(p), dj)
 				record()
 				check("departure")
 			}

@@ -44,11 +44,8 @@ func (p *SPF) Submit(ctx Ctx, j *workload.Job) {
 	p.jobs = append(p.jobs, nil)
 	copy(p.jobs[i+1:], p.jobs[i:])
 	p.jobs[i] = j
-	if elidePasses && p.blocked && i > 0 {
-		o := ctx.Obs()
-		o.Pass()
-		o.HeadMiss(workload.GlobalQueue)
-		o.PassSkipped()
+	if p.blocked && i > 0 {
+		skipBlockedPass(ctx)
 		return
 	}
 	p.pass(ctx)

@@ -144,7 +144,6 @@ type EnableSet struct {
 	stale      bool
 	disabled   []int // queue ids in the order they were disabled
 	state      []bool
-	live       int // number of enabled queues
 	n          int
 }
 
@@ -159,7 +158,6 @@ func NewEnableSet(n int) *EnableSet {
 		prev:  make([]int, n+1),
 		order: make([]int, 0, n),
 		state: make([]bool, n),
-		live:  n,
 		n:     n,
 	}
 	for i := 0; i <= n; i++ {
@@ -211,7 +209,6 @@ func (s *EnableSet) Disable(q int) bool {
 	s.state[q] = false
 	s.next[s.prev[q]] = s.next[q]
 	s.prev[s.next[q]] = s.prev[q]
-	s.live--
 	s.stale = true
 	s.disabled = append(s.disabled, q)
 	return true
@@ -231,7 +228,6 @@ func (s *EnableSet) EnableAll() []int {
 		s.state[q] = true
 		s.linkTail(q)
 	}
-	s.live += len(re)
 	s.disabled = s.disabled[:0]
 	s.stale = true
 	return re
@@ -251,7 +247,6 @@ func (s *EnableSet) EnableAllSorted() []int {
 	for q := 0; q < s.n; q++ {
 		s.state[q] = true
 	}
-	s.live = s.n
 	s.stale = true
 	return re
 }

