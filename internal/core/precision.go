@@ -83,30 +83,56 @@ func RunUntilPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 		return PrecisionResult{}, fmt.Errorf("core: replication bounds %d..%d",
 			cfg.MinReplications, cfg.MaxReplications)
 	}
+	return replicate(cfg.Run, cfg.MinReplications, cfg.MaxReplications, cfg.RelativePrecision)
+}
 
-	results := make([]Result, cfg.MaxReplications)
-	errs := make([]error, cfg.MaxReplications)
+// replicate is the replication loop behind RunUntilPrecision and
+// RunReplications: it runs replications of run (replication i with seed
+// run.Seed + i*1000003) and consumes their results in seed order until
+// the relative half-width of the mean response is at most target, with
+// at least minN and at most maxN replications; minN == maxN runs exactly
+// that many. It returns the first error in seed order.
+//
+// Replications run on the shared worker pool, the first minN as one
+// batch and then pool-width batches; with an Observer, which is
+// single-threaded and whose trace must record the event order byte for
+// byte, they run one at a time, serially, in seed order.
+func replicate(run Config, minN, maxN int, target float64) (PrecisionResult, error) {
+	results := make([]Result, maxN)
+	errs := make([]error, maxN)
 	ran := 0 // replications launched (and completed) so far
 	batch := workpool.Size()
-	if cfg.Run.Observer != nil || batch < 1 {
+	if run.Observer != nil || batch < 1 {
 		batch = 1
 	}
 	// ensure runs replications [ran, n) and waits for them.
 	ensure := func(n int) {
-		n = min(n, cfg.MaxReplications)
+		n = min(n, maxN)
 		if n <= ran {
 			return
 		}
-		runReplicationRange(cfg.Run, results, errs, ran, n)
+		runOne := func(k int) {
+			i := ran + k
+			c := run
+			c.Seed = run.Seed + uint64(i)*1000003
+			results[i], errs[i] = Run(c)
+		}
+		if run.Observer != nil {
+			for k := 0; k < n-ran; k++ {
+				runOne(k)
+			}
+		} else {
+			workpool.Do(n-ran, runOne)
+		}
 		ran = n
 	}
 
-	// The stopping rule consumes no result before MinReplications, so
-	// those are not speculative — launch them as one batch.
-	ensure(cfg.MinReplications)
+	// The stopping rule consumes no result before minN, so those are not
+	// speculative — launch them as one batch.
+	ensure(minN)
 
 	var resp stats.Welford
-	for n := 1; n <= cfg.MaxReplications; n++ {
+	for n := 1; n <= maxN; n++ {
 		if n > ran {
 			ensure(ran + batch)
 		}
@@ -114,26 +140,25 @@ func RunUntilPrecision(cfg PrecisionConfig) (PrecisionResult, error) {
 			return PrecisionResult{}, errs[n-1]
 		}
 		resp.Add(results[n-1].MeanResponse)
-		if n < cfg.MinReplications {
+		if n < minN {
 			continue
 		}
 		rel := math.Inf(1)
 		if resp.Mean() != 0 {
 			rel = resp.HalfWidth() / math.Abs(resp.Mean())
 		}
-		if rel <= cfg.RelativePrecision || n == cfg.MaxReplications {
+		if rel <= target || n == maxN {
 			// mergeReplications computes the across-replication mean and
 			// half-width with the same recurrence and formula as the
 			// decision loop above, so the merged MeanResponse and
 			// RespHalfWidth are bitwise the values the rule stopped on.
-			merged := PrecisionResult{
+			return PrecisionResult{
 				Result:           mergeReplications(results[:n]),
 				Replications:     n,
 				AchievedRelative: rel,
-				Converged:        rel <= cfg.RelativePrecision,
-			}
-			return merged, nil
+				Converged:        rel <= target,
+			}, nil
 		}
 	}
-	panic("core: unreachable") // the loop always returns at MaxReplications
+	panic("core: unreachable") // the loop always returns at maxN
 }

@@ -15,7 +15,6 @@ import (
 	"coalloc/internal/sim"
 	"coalloc/internal/stats"
 	"coalloc/internal/workload"
-	"coalloc/internal/workpool"
 )
 
 // Typed event kinds of the simulation loop. Arrivals and departures go
@@ -734,42 +733,15 @@ func RunAtUtilization(cfg Config, grossUtil float64) (Result, error) {
 //
 // Replications execute concurrently on the shared worker pool (package
 // workpool), but the merge consumes their results in seed order, so the
-// returned Result is bit-identical to running the replications serially.
+// returned Result is bit-identical to running the replications serially;
+// with an Observer they run serially. It is RunUntilPrecision's loop
+// (replicate) with exactly n replications.
 func RunReplications(cfg Config, n int) (Result, error) {
 	if n <= 1 {
 		return Run(cfg)
 	}
-	results := make([]Result, n)
-	errs := make([]error, n)
-	runReplicationRange(cfg, results, errs, 0, n)
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	return mergeReplications(results), nil
-}
-
-// runReplicationRange runs replications [lo, hi) of cfg into results and
-// errs: replication i runs with seed cfg.Seed + i*1000003. They run
-// concurrently on the shared worker pool, except with an Observer: it is
-// single-threaded and its trace must be a deterministic, byte-identical
-// record of the event order, so observed replications run serially, in
-// seed order.
-func runReplicationRange(cfg Config, results []Result, errs []error, lo, hi int) {
-	runOne := func(k int) {
-		i := lo + k
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)*1000003
-		results[i], errs[i] = Run(c)
-	}
-	if cfg.Observer != nil {
-		for k := 0; k < hi-lo; k++ {
-			runOne(k)
-		}
-		return
-	}
-	workpool.Do(hi-lo, runOne)
+	r, err := replicate(cfg, n, n, 0)
+	return r.Result, err
 }
 
 // mergeReplications folds per-replication results, in order, into the

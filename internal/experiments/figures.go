@@ -7,6 +7,7 @@ import (
 
 	"coalloc/internal/core"
 	"coalloc/internal/dastrace"
+	"coalloc/internal/dist"
 	"coalloc/internal/plot"
 )
 
@@ -210,27 +211,9 @@ func (e *Env) saturationUtil(cs CurveSpec) (float64, error) {
 // DAS-s-64 versus DAS-s-128 for all four policies at component-size limit
 // 16 with balanced local queues (the configuration where LS beat SC).
 func Fig5(e *Env) (string, error) {
-	const limit = 16
 	var b strings.Builder
 	b.WriteString("Fig. 5 — maximal total job size 64 vs 128 (limit 16, balanced queues)\n\n")
-	var specs []CurveSpec
-	for _, v := range []struct {
-		tag   string
-		sizes int
-	}{{"128", 128}, {"64", 64}} {
-		sizeDist := e.Derived.Sizes128
-		if v.sizes == 64 {
-			sizeDist = e.Derived.Sizes64
-		}
-		spec := e.MultiSpec(limit, sizeDist)
-		specs = append(specs,
-			CurveSpec{Label: "SC " + v.tag, Policy: "SC", ClusterSizes: SingleClusterSizes, Spec: e.SCSpec(sizeDist)},
-			CurveSpec{Label: "GS " + v.tag, Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			CurveSpec{Label: "LS " + v.tag, Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			CurveSpec{Label: "LP " + v.tag, Policy: "LP", ClusterSizes: MulticlusterSizes, Spec: spec},
-		)
-	}
-	panel, err := e.Curves(specs)
+	panel, err := e.Curves(e.fig5Specs())
 	if err != nil {
 		return "", err
 	}
@@ -242,6 +225,27 @@ func Fig5(e *Env) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
+}
+
+// fig5Specs is the Fig. 5 grid: SC, GS, LS and LP at component-size limit
+// 16 with balanced queues, for the total-size caps 128 and 64. Regret
+// runs the same grid.
+func (e *Env) fig5Specs() []CurveSpec {
+	const limit = 16
+	var specs []CurveSpec
+	for _, v := range []struct {
+		tag   string
+		sizes *dist.EmpiricalInt
+	}{{"128", e.Derived.Sizes128}, {"64", e.Derived.Sizes64}} {
+		spec := e.MultiSpec(limit, v.sizes)
+		specs = append(specs,
+			CurveSpec{Label: "SC " + v.tag, Policy: "SC", ClusterSizes: SingleClusterSizes, Spec: e.SCSpec(v.sizes)},
+			CurveSpec{Label: "GS " + v.tag, Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
+			CurveSpec{Label: "LS " + v.tag, Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
+			CurveSpec{Label: "LP " + v.tag, Policy: "LP", ClusterSizes: MulticlusterSizes, Spec: spec},
+		)
+	}
+	return specs
 }
 
 // Fig6 reproduces Fig. 6: per-policy sensitivity to the component-size

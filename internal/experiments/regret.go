@@ -19,26 +19,9 @@ import (
 // measured gross utilization — land in regret.csv under the data
 // directory.
 func Regret(e *Env) (string, error) {
-	const limit = 16
 	var b strings.Builder
 	b.WriteString("Regret — counterfactual start-time regret per job (Fig. 5 grid, limit 16, balanced queues)\n\n")
-	var specs []CurveSpec
-	for _, v := range []struct {
-		tag   string
-		sizes int
-	}{{"128", 128}, {"64", 64}} {
-		sizeDist := e.Derived.Sizes128
-		if v.sizes == 64 {
-			sizeDist = e.Derived.Sizes64
-		}
-		spec := e.MultiSpec(limit, sizeDist)
-		specs = append(specs,
-			CurveSpec{Label: "SC " + v.tag, Policy: "SC", ClusterSizes: SingleClusterSizes, Spec: e.SCSpec(sizeDist)},
-			CurveSpec{Label: "GS " + v.tag, Policy: "GS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			CurveSpec{Label: "LS " + v.tag, Policy: "LS", ClusterSizes: MulticlusterSizes, Spec: spec},
-			CurveSpec{Label: "LP " + v.tag, Policy: "LP", ClusterSizes: MulticlusterSizes, Spec: spec},
-		)
-	}
+	specs := e.fig5Specs()
 
 	// Force decision tracing on for this sweep only; every other
 	// experiment keeps Decisions nil and stays bit-identical to a build

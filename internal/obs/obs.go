@@ -148,7 +148,8 @@ func (o *Observer) Departure(at float64, job int64, resp float64) {
 }
 
 // Pass records one scheduling opportunity (a policy Submit/JobDeparted
-// scheduling pass).
+// scheduling pass). GS-CONS and SC-CONS count no pass for an opportunity
+// that finds their queue empty; every other policy counts one for each.
 func (o *Observer) Pass() {
 	if o == nil {
 		return
@@ -158,6 +159,8 @@ func (o *Observer) Pass() {
 
 // HeadMiss records a head-of-queue job that did not fit (the FCFS
 // blocking event; for multi-queue policies the queue is then disabled).
+// GS-CONS and SC-CONS count no miss for a head that can never fit (its
+// reservation is +Inf), only for one reserved at a finite future time.
 func (o *Observer) HeadMiss(queue int) {
 	if o == nil {
 		return

@@ -32,37 +32,32 @@ type resv struct {
 // FCFS start-time guarantees — the classic comparison in the backfilling
 // literature, provided here as an ablation alongside GS-EASY.
 //
-// The free-capacity profile of the running jobs is maintained
-// incrementally: a job start reserves its window in the base profile, a
-// departure merely lets the clock advance past the release breakpoint the
-// reservation already encoded, and each full scheduling pass trims the
-// base to the current time and clones it into scratch storage for the
-// pass's queue reservations. The equivalence of the incremental base and a
-// rebuild-from-scratch is pinned by TestIncrementalProfileMatchesRebuilt.
+// Each full scheduling pass rebuilds the free-capacity profile of the
+// running jobs from the live idle vector (profile.rebuild, into retained
+// scratch storage) and lays the queue reservations into it.
 //
-// On top of that, the reservations themselves are retained between passes.
-// Between two capacity-changing events the forecast does not change — a
+// The reservations themselves are retained between passes. Between two
+// capacity-changing events the forecast does not change — a
 // departure merely reaches a release breakpoint the profile already
 // encoded — so re-deriving every queued job's reservation would reproduce
 // it exactly (the recomputation argument in DESIGN.md §13). A pass
 // therefore runs in one of two modes: a fast pass fires the reservations
 // whose start time has arrived (a dispatch straight from the stored
 // placement, no profile scan) and evaluates only jobs newly inside the
-// lookahead window; a full pass re-derives everything from the base
-// profile. Any event the stability argument does not cover — an early
-// release, an overdue-departure tie, the very first pass — invalidates
-// resvOK and forces the full pass. TestConservativeLockstepAudit pins the
-// two modes bit-identical against a full-pass twin over random streams, and
-// TestReferenceMatchesReplay (package core) checks whole replays against a
-// plain reference scheduler.
+// lookahead window; a full pass rebuilds the profile and re-derives
+// everything. Any event the stability argument does not cover — an early
+// release, a fault, an overdue-departure tie, the very first pass —
+// invalidates resvOK and forces the full pass. TestConservativeLockstepAudit
+// pins the two modes bit-identical against a full-pass twin over random
+// streams, and TestReferenceMatchesReplay (package core) checks whole
+// replays against a plain reference scheduler.
 type Conservative struct {
 	q         queues.FIFO
 	fit       cluster.Fit
 	lookahead int
 	running   []runInfo
-	base      *profile // incremental forecast of the running jobs' releases
-	scratch   profile  // working profile; between passes it holds the reservations
-	availVec  []int    // per-cluster up-processor counts, for the never-fits exit
+	scratch   profile // working profile; between passes it holds the reservations
+	availVec  []int   // per-cluster up capacity at the last full pass, for the never-fits exit
 
 	// Retained-reservation state. resvs holds one entry per reserved
 	// queued job, in FCFS order, covering a prefix of the queue; resvPlace
@@ -138,7 +133,6 @@ func (p *Conservative) schedule(ctx Ctx) {
 // profile and forces the full pass.
 func (p *Conservative) JobDeparted(ctx Ctx, j *workload.Job) {
 	if r, ok := dropRunning(&p.running, j); ok && r.finish > ctx.Now() {
-		p.releaseEarly(ctx.Now(), r)
 		p.resvOK = false
 		p.repairOK = false
 	}
@@ -146,91 +140,31 @@ func (p *Conservative) JobDeparted(ctx Ctx, j *workload.Job) {
 	p.schedule(ctx)
 }
 
-// JobKilled repairs the policy state after a failure on cluster c aborted
-// the victim (Policy): the victim leaves the running set, its
-// remaining window returns to the base profile through the same early-
-// release path a preemptive departure takes, and the profile's capacity on
-// c drops by the processor the failure consumed. A kill is neither an
-// arrival nor a departure — the retained-reservation stability argument
-// does not cover it — so the elision state is invalidated wholesale and a
-// full pass re-derives every reservation against the repaired forecast.
+// JobKilled repairs the policy state after a failure aborted the victim
+// (Policy): the victim leaves the running set and a full pass runs. A kill
+// is neither an arrival nor a departure — the retained-reservation
+// stability argument does not cover it — so the pass re-derives every
+// reservation against a forecast rebuilt from the multicluster, which
+// already holds the victim's released processors and the failed one.
 func (p *Conservative) JobKilled(ctx Ctx, victim *workload.Job, c int) {
-	r, ok := dropRunning(&p.running, victim)
-	if !ok {
+	if _, ok := dropRunning(&p.running, victim); !ok {
 		panic(fmt.Sprintf("policies: killed job %d not in the running set", victim.ID))
 	}
-	p.releaseEarly(ctx.Now(), r)
 	p.recomputeNextFinish()
-	p.adjustCapacity(ctx, c, -1)
-}
-
-// CapacityLost folds a silent failure — one idle processor of cluster c
-// went down — into the forecast (Policy). The shrink can
-// admit nothing (placement is monotone in the idle vector), but the stored
-// reservations were derived against the larger capacity and may now
-// overlap windows that no longer exist, so the state is re-derived.
-func (p *Conservative) CapacityLost(ctx Ctx, c int) { p.adjustCapacity(ctx, c, -1) }
-
-// CapacityRestored folds a repaired processor of cluster c back into the
-// forecast (Policy). The full pass it forces also re-derives
-// every never-fits (+Inf) reservation, which is only valid per capacity
-// regime — see neverFits.
-func (p *Conservative) CapacityRestored(ctx Ctx, c int) { p.adjustCapacity(ctx, c, +1) }
-
-// adjustCapacity applies a one-processor capacity change on cluster c: the
-// base profile's whole horizon shifts by delta, the never-fits vector
-// follows, the retained reservations are invalidated (the staleness theory
-// covers only arrivals and departures), and a full pass rebuilds them.
-// State not yet built (before the first pass) needs no adjustment — it is
-// constructed from the multicluster's post-event capacity when first used.
-func (p *Conservative) adjustCapacity(ctx Ctx, c, delta int) {
-	if p.base != nil {
-		p.base.trim(ctx.Now())
-		p.base.shiftCapacity(c, delta)
-	}
-	if p.availVec != nil {
-		p.availVec[c] += delta
-	}
-	p.resvOK = false
-	p.repairOK = false
 	p.pass(ctx)
 }
 
-// releaseEarly returns a job's remaining reservation to the base profile
-// when it leaves the running set before its forecast finish time. The
-// event engine fires departures exactly at the forecast finish, so for
-// ordinary departures this is a no-op; a fault kill (JobKilled) is the
-// real user — an abort releases the processors mid-window, and the
-// remaining window must come back before the capacity shift is applied.
-func (p *Conservative) releaseEarly(now float64, r runInfo) {
-	if p.base == nil || r.finish <= now {
-		return
-	}
-	p.base.trim(now)
-	end := p.base.segmentAt(r.finish, true)
-	for s := 0; s < end; s++ {
-		seg := p.base.seg(s)
-		for i, c := range r.placement {
-			seg[c] += r.comps[i]
-		}
-	}
-	// The job's release breakpoint at r.finish is now redundant unless
-	// another job's boundary shares it: merge it away so the profile stays
-	// in the canonical form a rebuild produces (no equal adjacent segments).
-	if end > 0 && end < p.base.n {
-		a, b := p.base.seg(end-1), p.base.seg(end)
-		equal := true
-		for c := range a {
-			if a[c] != b[c] {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			p.base.removeBreak(end)
-		}
-	}
-}
+// CapacityLost reacts to a silent failure — one idle processor of cluster
+// c went down (Policy). The shrink can admit nothing (placement is
+// monotone in the idle vector), but the stored reservations were derived
+// against the larger capacity and may now overlap windows that no longer
+// exist, so a full pass re-derives them.
+func (p *Conservative) CapacityLost(ctx Ctx, c int) { p.pass(ctx) }
+
+// CapacityRestored reacts to a repaired processor of cluster c (Policy).
+// The full pass it runs also re-derives every never-fits (+Inf)
+// reservation, which is only valid per capacity regime — see neverFits.
+func (p *Conservative) CapacityRestored(ctx Ctx, c int) { p.pass(ctx) }
 
 // recomputeNextFinish refreshes the earliest forecast finish of the
 // running set.
@@ -243,56 +177,15 @@ func (p *Conservative) recomputeNextFinish() {
 	}
 }
 
-// passProfile produces the working profile for one full scheduling pass:
-// the incrementally maintained base, trimmed to now and cloned into
-// scratch. Jobs whose finish time has arrived but whose departure event
-// has not yet fired still hold their processors, so their release — which
-// the base encoded when they started — is subtracted back out, exactly as
-// a rebuild-from-scratch (which skips finish <= now) would produce.
-func (p *Conservative) passProfile(m *cluster.Multicluster, now float64) *profile {
-	if p.base == nil {
-		p.base = newProfile(m, now, p.running)
-	} else {
-		p.base.trim(now)
-	}
-	prof := p.base.cloneInto(&p.scratch)
-	for i := range p.running {
-		r := &p.running[i]
-		if r.finish > now {
-			continue
-		}
-		for s := 0; s < prof.n; s++ {
-			seg := prof.seg(s)
-			for ci, c := range r.placement {
-				seg[c] -= r.comps[ci]
-			}
-		}
-	}
-	return prof
-}
-
-// ensureCap builds the per-cluster up-capacity vector on first use; fault
-// events keep it current through adjustCapacity. Without faults it is the
-// static cluster sizes.
-func (p *Conservative) ensureCap(m *cluster.Multicluster) {
-	if p.availVec == nil {
-		p.availVec = make([]int, m.NumClusters())
-		for c := range p.availVec {
-			p.availVec[c] = m.Avail(c)
-		}
-	}
-}
-
 // neverFits reports that the components cannot fit even with every up
 // processor idle. The placement rule is monotone in the idle vector, so a
 // failure at full up capacity implies failure on every profile window —
 // exactly the queries earliestStart would answer +Inf — without scanning
-// any segments. Under fault injection the vector tracks the post-failure
-// capacity, so the verdict holds only for the current capacity regime: a
-// repair raises the vector and forces a full pass (CapacityRestored), which
-// re-derives every +Inf entry against the restored capacity.
-func (p *Conservative) neverFits(m *cluster.Multicluster, comps []int, s *Scratch) bool {
-	p.ensureCap(m)
+// any segments. Every full pass copies the up capacity into the vector,
+// and every fault event runs a full pass, so the verdict holds for the
+// current capacity regime: a repair's pass (CapacityRestored) re-derives
+// every +Inf entry against the restored capacity.
+func (p *Conservative) neverFits(comps []int, s *Scratch) bool {
 	return !cluster.PlaceVector(p.availVec, comps, p.fit, s.Place, s.Used)
 }
 
@@ -313,8 +206,9 @@ func (p *Conservative) appendResv(j *workload.Job, t, dur float64, place []int, 
 	copy(p.resvPlace[i*nc:], place)
 }
 
-// start dispatches a job, adds it to the running set, folds its window
-// into the base profile, and tracks the earliest forecast finish.
+// start dispatches a job, adds it to the running set, and tracks the
+// earliest forecast finish. The job's window is already in the working
+// profile: it was reserved there as the job's reservation.
 func (p *Conservative) start(ctx Ctx, j *workload.Job, placement []int, now, dur float64) {
 	// placement may be profile or arena scratch; Dispatch leaves the
 	// stable copy in j.Placement, which the persistent records use.
@@ -325,7 +219,6 @@ func (p *Conservative) start(ctx Ctx, j *workload.Job, placement []int, now, dur
 		comps:     j.Components,
 		placement: j.Placement,
 	})
-	p.base.reserve(j.Components, j.Placement, now, dur)
 	if now+dur < p.nextFinish {
 		p.nextFinish = now + dur
 	}
@@ -339,9 +232,9 @@ func (p *Conservative) start(ctx Ctx, j *workload.Job, placement []int, now, dur
 // retained profile that already holds every earlier reservation — the
 // same input the full pass would see. Backfill attempts are counted by
 // the caller.
-func (p *Conservative) evalJob(ctx Ctx, m *cluster.Multicluster, prof *profile, s *Scratch, idx int, j *workload.Job, now float64, nc int) {
+func (p *Conservative) evalJob(ctx Ctx, prof *profile, s *Scratch, idx int, j *workload.Job, now float64, nc int) {
 	o := ctx.Obs()
-	if p.neverFits(m, j.Components, s) {
+	if p.neverFits(j.Components, s) {
 		// Can never fit; it holds no window (it blocks nothing: all
 		// other jobs keep their own reservations).
 		p.appendResv(j, math.Inf(1), 0, nil, nc)
@@ -402,8 +295,8 @@ func (p *Conservative) probeAlts(dt *dectrace.Tracer, prof *profile, j *workload
 // It refuses — leaving the caller to run the full pass — whenever the
 // reservation-stability argument does not apply: no valid retained state,
 // a running job at or past its forecast finish whose departure has not
-// fired (the full pass would subtract its overdue holding), or a
-// reservation somehow missed in the past.
+// fired (the full pass would see it hold its processors over the whole
+// forecast), or a reservation somehow missed in the past.
 func (p *Conservative) fastPass(ctx Ctx) bool {
 	if !p.resvOK {
 		return false
@@ -416,21 +309,19 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 	if !p.retainedCurrent(now) {
 		return false
 	}
-	m := ctx.Cluster()
 	o := ctx.Obs()
 	o.Pass()
 	nc := len(p.availVec)
 	prof := &p.scratch
 	prof.trim(now)
-	p.base.trim(now)
 	s := ctx.Scratch()
 	s.Started = s.Started[:0]
 
 	// Fire due reservations: the full pass would re-derive each at exactly
 	// its stored time and placement, so start them directly. Firing past an
-	// unfired finite reservation moves the fired window into the base —
-	// into the derivation input of the jobs ahead of it, which saw it as
-	// behind them — so such a pass cannot keep its reservations wholesale;
+	// unfired finite reservation moves the fired window into the running
+	// set — into the derivation input of the jobs ahead of it, which saw it
+	// as behind them — so such a pass cannot keep its reservations wholesale;
 	// the kept entries ahead of the fired one become the stale prefix.
 	p.sawFinite, p.staleStart = false, false
 	p.staleBound, p.staleWinEnd = 0, 0
@@ -511,7 +402,7 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 			if idx >= evaluated {
 				return false
 			}
-			p.evalJob(ctx, m, prof, s, idx, j, now, nc)
+			p.evalJob(ctx, prof, s, idx, j, now, nc)
 			return true
 		})
 	}
@@ -529,8 +420,8 @@ func (p *Conservative) fastPass(ctx Ctx) bool {
 // retainedCurrent is the precondition fastPass and tryRepair share for
 // serving a pass from retained reservations: no running job has reached
 // its forecast finish with its departure still unfired (the full pass
-// would subtract its overdue holding), and no reservation lies in the
-// past.
+// would see it hold its processors over the whole forecast), and no
+// reservation lies in the past.
 func (p *Conservative) retainedCurrent(now float64) bool {
 	if now >= p.nextFinish {
 		return false
@@ -564,11 +455,11 @@ func (p *Conservative) markStale(bound int, winEnd float64) {
 // A start with stored entries ahead of it grows only those entries'
 // derivation inputs — entries behind it already saw its window — so the
 // suffix beyond staleBound needs no work at all. Within the prefix, each
-// entry is re-derived against a fresh clone of the base (reproducing the
-// full pass's input exactly) and compared with the stored reservation:
-// start times provably cannot move (the start was placed to delay no
-// reservation), but a placement tie may break differently, and any
-// mismatch falls back to the full pass. Two classes of entries skip even
+// entry is re-derived against a profile rebuilt from the running set
+// (reproducing the full pass's input exactly) and compared with the
+// stored reservation: start times provably cannot move (the start was
+// placed to delay no reservation), but a placement tie may break
+// differently, and any mismatch falls back to the full pass. Two classes of entries skip even
 // the re-derivation: never-fits entries (+Inf is invariant under capacity
 // loss), and entries whose whole window lies at or beyond staleWinEnd —
 // the placement depends only on the per-cluster minima over the entry's
@@ -590,8 +481,7 @@ func (p *Conservative) tryRepair(ctx Ctx) bool {
 	if bound > len(p.resvs) {
 		bound = len(p.resvs)
 	}
-	p.base.trim(now)
-	prof := p.base.cloneInto(&p.repair)
+	prof := p.repair.rebuild(ctx.Cluster(), now, p.running)
 	ok := true
 	p.q.ForEachWaiting(func(idx int, j *workload.Job) bool {
 		if idx >= bound {
@@ -632,7 +522,7 @@ func (p *Conservative) tryRepair(ctx Ctx) bool {
 }
 
 // pass is the full re-derivation: it rebuilds the working profile from the
-// base and walks the queue in FCFS order, dispatching the jobs whose
+// running set and walks the queue in FCFS order, dispatching the jobs whose
 // earliest feasible start is now and reserving future windows for the
 // rest, which become the retained state the fast passes run on.
 func (p *Conservative) pass(ctx Ctx) {
@@ -642,19 +532,22 @@ func (p *Conservative) pass(ctx Ctx) {
 	p.resvPlace = p.resvPlace[:0]
 	p.sawFinite, p.staleStart = false, false
 	p.staleBound, p.staleWinEnd = 0, 0
+	m := ctx.Cluster()
+	p.availVec = p.availVec[:0]
+	for c := 0; c < m.NumClusters(); c++ {
+		p.availVec = append(p.availVec, m.Avail(c))
+	}
 	if p.q.Empty() {
 		return
 	}
-	m := ctx.Cluster()
-	p.ensureCap(m)
 	nc := len(p.availVec)
 	now := ctx.Now()
 	o := ctx.Obs()
 	o.Pass()
-	prof := p.passProfile(m, now)
+	prof := p.scratch.rebuild(m, now, p.running)
 	// A running job at its forecast finish whose departure event has not
-	// yet fired (an event-order tie) makes passProfile subtract its holding
-	// from the whole forecast — a temporary distortion no later pass will
+	// yet fired (an event-order tie) holds its processors over the whole
+	// rebuilt forecast — a temporary distortion no later pass will
 	// reproduce. Reservations derived against it must not be retained.
 	overdue := false
 	for i := range p.running {
@@ -674,7 +567,7 @@ func (p *Conservative) pass(ctx Ctx) {
 		if idx > 0 {
 			o.BackfillAttempt()
 		}
-		p.evalJob(ctx, m, prof, s, idx, j, now, nc)
+		p.evalJob(ctx, prof, s, idx, j, now, nc)
 		return true
 	})
 	if truncated {

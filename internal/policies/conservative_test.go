@@ -18,7 +18,7 @@ func TestProfileFromRunning(t *testing.T) {
 		{finish: 10, comps: []int{16}, placement: []int{0}},
 		{finish: 20, comps: []int{8}, placement: []int{1}},
 	}
-	p := newProfile(m, 0, running)
+	p := new(profile).rebuild(m, 0, running)
 	// Segments: [0,10): (16,24); [10,20): (32,24); [20,inf): (32,32).
 	if p.n != 3 {
 		t.Fatalf("segments %d, want 3", p.n)
@@ -38,7 +38,7 @@ func TestProfileEarliestStart(t *testing.T) {
 	m := cluster.New([]int{32, 32})
 	m.Alloc([]int{32}, []int{0})
 	running := []runInfo{{finish: 100, comps: []int{32}, placement: []int{0}}}
-	p := newProfile(m, 0, running)
+	p := new(profile).rebuild(m, 0, running)
 	// (16,16) needs both clusters: earliest at t=100.
 	tm, placement := p.earliestStart([]int{16, 16}, 50, cluster.WorstFit)
 	if tm != 100 || len(placement) != 2 {
@@ -58,7 +58,7 @@ func TestProfileEarliestStart(t *testing.T) {
 
 func TestProfileReserveCarvesWindow(t *testing.T) {
 	m := cluster.New([]int{32}) // one cluster, all idle
-	p := newProfile(m, 0, nil)
+	p := new(profile).rebuild(m, 0, nil)
 	p.reserve([]int{20}, []int{0}, 50, 25) // occupy [50, 75)
 	// A 20-wide job of duration 50 no longer fits at t=0 (would overlap
 	// the reservation at 50); earliest start where a 40-wide total...
@@ -81,7 +81,7 @@ func TestProfileReserveCarvesWindow(t *testing.T) {
 
 func TestProfileReservePanicsOnOverlap(t *testing.T) {
 	m := cluster.New([]int{32})
-	p := newProfile(m, 0, nil)
+	p := new(profile).rebuild(m, 0, nil)
 	p.reserve([]int{20}, []int{0}, 0, 10)
 	defer func() {
 		if recover() == nil {
@@ -101,7 +101,7 @@ func TestProfileRandomConsistency(t *testing.T) {
 			sizes[i] = size
 		}
 		m := cluster.New(sizes)
-		p := newProfile(m, 0, nil)
+		p := new(profile).rebuild(m, 0, nil)
 		for step := 0; step < 40; step++ {
 			n := 1 + r.Intn(m.NumClusters())
 			comps := make([]int, n)

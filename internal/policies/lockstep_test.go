@@ -86,7 +86,7 @@ type lockstepCase struct {
 	pair func(nc int, fit cluster.Fit) (elided, full Policy)
 	// audit, when set, checks the eliding instance's retained state
 	// after every event.
-	audit func(elided Policy, now float64) error
+	audit func(elided Policy, ctx *mockCtx) error
 	// backlog is the queue length below which arrivals are favoured.
 	backlog int
 }
@@ -150,21 +150,19 @@ func conservativeCase(lookahead int) lockstepCase {
 			f := NewConservative(fit, lookahead)
 			return NewConservative(fit, lookahead), fullPassTwin{Policy: f, clear: func() { fullPasses(f) }}
 		},
-		audit: func(elided Policy, now float64) error { return auditReservations(elided.(*Conservative), now) },
+		audit: func(elided Policy, ctx *mockCtx) error { return auditReservations(elided.(*Conservative), ctx) },
 	}
 }
 
-// auditReservations re-derives every reservation p retains from a fresh
-// clone of its base profile, in order, and reports the first whose stored
-// start time or placement differs. It checks nothing while p does not
-// claim its reservations valid (resvOK).
-func auditReservations(p *Conservative, now float64) error {
+// auditReservations re-derives every reservation p retains, in order, on
+// a profile rebuilt from ctx's multicluster and p's running set, and
+// reports the first whose stored start time or placement differs. It
+// checks nothing while p does not claim its reservations valid (resvOK).
+func auditReservations(p *Conservative, ctx *mockCtx) error {
 	if !p.resvOK {
 		return nil
 	}
-	var tmp profile
-	p.base.trim(now)
-	prof := p.base.cloneInto(&tmp)
+	prof := new(profile).rebuild(ctx.m, ctx.now, p.running)
 	nc := len(p.availVec)
 	for i := range p.resvs {
 		rv := p.resvs[i]
@@ -277,7 +275,7 @@ func lockstepAudit(t *testing.T, lc lockstepCase, seed uint64, faultRate float64
 	checkSync := func(what string) {
 		t.Helper()
 		if lc.audit != nil {
-			if err := lc.audit(pB, ctxB.now); err != nil {
+			if err := lc.audit(pB, ctxB); err != nil {
 				t.Fatalf("%s: audit after %s at t=%g: %v", where, what, ctxB.now, err)
 			}
 		}

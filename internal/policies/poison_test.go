@@ -47,11 +47,8 @@ func (d *backlogDriver) poisonScratch() {
 	fillCap(s.Used, true)
 	fillCap(s.Started, nil)
 	if cons, ok := d.p.(*Conservative); ok {
-		for _, prof := range []*profile{cons.base, &cons.scratch, &cons.repair} {
-			if prof != nil {
-				fillCap(prof.place, -1)
-			}
-		}
+		fillCap(cons.scratch.place, -1)
+		fillCap(cons.repair.place, -1)
 	}
 }
 

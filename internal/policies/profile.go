@@ -14,18 +14,15 @@ import (
 //
 // Storage is flat: one stride-nc backing array holds every segment's idle
 // vector, and a dead-prefix offset makes trim an O(1) bump with batched
-// physical compaction. cloneInto is two bulk copies, segment splits are a
-// single memmove each, and the minimum scan walks contiguous memory with
-// no per-segment pointer chase. refProfile (refprofile_test.go) keeps the
-// original slice-of-slices implementation as the reference the
-// differential tests compare against.
+// physical compaction. Segment splits are a single memmove each, and the
+// minimum scan walks contiguous memory with no per-segment pointer chase.
+// refProfile (refprofile_test.go) keeps the original slice-of-slices
+// implementation as the reference the differential tests compare against.
 //
-// A profile can be used two ways. newProfile builds a throwaway forecast
-// from the current running set (the reference semantics, and what the
-// equivalence tests compare against). The backfilling policies instead
-// maintain one profile incrementally across events — reserve on job start,
-// trim on the advance of the clock — and clone it into reusable scratch
-// storage once per scheduling pass.
+// The conservative policy rebuilds its profile from the running set at
+// every full pass (rebuild, into retained storage, so the steady state
+// allocates nothing), then lays the queue reservations into it and trims
+// it as the clock advances between passes.
 type profile struct {
 	nc    int       // clusters per segment (the stride)
 	times []float64 // segment start times; live window [off, off+n)
@@ -35,40 +32,34 @@ type profile struct {
 
 	// earliestStart scratch, sized on demand and reused across calls so
 	// the steady state allocates nothing.
-	min   []int  // assembled window minimum per cluster
-	prev  []int  // window minimum of the last greedy-evaluated candidate
-	deq   []int  // nc monotonic deques of segment indexes, deqCap each
-	dqh   []int  // per-cluster deque head
-	dqt   []int  // per-cluster deque tail
+	min   []int  // window minimum per cluster
 	used  []bool // placement scratch
 	place []int  // placement scratch
 }
 
-// newProfile builds a profile from the current idle vector and the future
-// releases of the running jobs.
-func newProfile(m *cluster.Multicluster, now float64, running []runInfo) *profile {
+// rebuild overwrites p with the forecast implied by the current idle
+// vector and the future releases of the running jobs, and returns p. A job
+// whose finish time has arrived but whose departure has not fired yet
+// still holds its processors, so it releases nothing. The releases fold in
+// any order: a split copies the covering segment, so each segment ends up
+// with the idle vector plus every release at or before its start.
+func (p *profile) rebuild(m *cluster.Multicluster, now float64, running []runInfo) *profile {
 	nc := m.NumClusters()
-	p := &profile{
-		nc:    nc,
-		times: make([]float64, 1, 8),
-		flat:  make([]int, nc, 8*nc),
-		n:     1,
-	}
-	p.times[0] = now
+	p.nc, p.off, p.n = nc, 0, 1
+	p.times = append(p.times[:0], now)
+	p.flat = p.flat[:0]
 	for c := 0; c < nc; c++ {
-		p.flat[c] = m.Idle(c)
+		p.flat = append(p.flat, m.Idle(c))
 	}
-	releases := append([]runInfo(nil), running...)
-	sort.Slice(releases, func(a, b int) bool { return releases[a].finish < releases[b].finish })
-	for _, r := range releases {
+	for i := range running {
+		r := &running[i]
 		if r.finish <= now {
 			continue
 		}
-		idx := p.segmentAt(r.finish, true)
-		for s := idx; s < p.n; s++ {
+		for s := p.segmentAt(r.finish); s < p.n; s++ {
 			seg := p.seg(s)
-			for i, c := range r.placement {
-				seg[c] += r.comps[i]
+			for ci, c := range r.placement {
+				seg[c] += r.comps[ci]
 			}
 		}
 	}
@@ -86,15 +77,12 @@ func (p *profile) seg(i int) []int {
 }
 
 // segmentAt returns the index of the segment starting exactly at t,
-// inserting a breakpoint (split) when split is true and none exists.
-func (p *profile) segmentAt(t float64, split bool) int {
+// splitting the covering segment there when no breakpoint exists.
+func (p *profile) segmentAt(t float64) int {
 	live := p.times[p.off : p.off+p.n]
 	i := sort.SearchFloat64s(live, t)
 	if i < p.n && live[i] == t {
 		return i
-	}
-	if !split {
-		return i - 1
 	}
 	// Split segment i-1 at t: shift the tail right by one segment and
 	// copy the covering segment's idle vector into the gap.
@@ -145,87 +133,15 @@ func (p *profile) trim(now float64) {
 	}
 }
 
-// shiftCapacity folds a capacity change of cluster c into the forecast:
-// delta is -1 for a processor going down, +1 for a repair. A capacity flap
-// has no release time, so unlike a reservation it shifts every live
-// segment — the processor is gone (or back) for the entire horizon. The
-// breakpoints are untouched; only the level moves.
-//
-// The caller must trim the profile to the current time first, and for a
-// loss the first segment must have an idle processor on c to give up (the
-// simulator guarantees it: a failure either lands on an idle processor or
-// aborts a victim whose release was folded in before this call). Because
-// the base profile's per-cluster values are nondecreasing in time — future
-// segments only add releases — a valid first segment makes every later
-// segment valid too; the panic guards the precondition.
-func (p *profile) shiftCapacity(c, delta int) {
-	for i := 0; i < p.n; i++ {
-		s := p.seg(i)
-		s[c] += delta
-		if s[c] < 0 {
-			panic("policies: capacity shift below zero idle forecast")
-		}
-	}
-}
-
-// removeBreak deletes live segment i, extending segment i-1 over its span
-// — the cleanup for a breakpoint whose two sides became identical (an
-// early release returning exactly the capacity its forecast breakpoint
-// encoded). Rare path: one O(S) shift.
-func (p *profile) removeBreak(i int) {
-	a := p.off + i
-	end := p.off + p.n
-	copy(p.times[a:], p.times[a+1:end])
-	copy(p.flat[a*p.nc:], p.flat[(a+1)*p.nc:end*p.nc])
-	p.n--
-	p.times = p.times[:end-1]
-	p.flat = p.flat[:(end-1)*p.nc]
-}
-
-// cloneInto copies the profile's live segments into dst's storage (two
-// bulk copies) and returns dst. The clone shares no state with p; it is
-// the per-pass working copy transient reservations go into.
-func (p *profile) cloneInto(dst *profile) *profile {
-	dst.nc = p.nc
-	dst.off = 0
-	dst.n = p.n
-	dst.times = append(dst.times[:0], p.times[p.off:p.off+p.n]...)
-	dst.flat = append(dst.flat[:0], p.flat[p.off*p.nc:(p.off+p.n)*p.nc]...)
-	return dst
-}
-
-// ensureScratch sizes the earliestStart scratch for the current segment
-// count and component count.
-func (p *profile) ensureScratch(comps int) {
-	if cap(p.min) < p.nc {
-		p.min = make([]int, p.nc)
-		p.prev = make([]int, p.nc)
-		p.dqh = make([]int, p.nc)
-		p.dqt = make([]int, p.nc)
-		p.used = make([]bool, p.nc)
-	}
-	if cap(p.deq) < p.nc*p.n {
-		p.deq = make([]int, p.nc*(p.n+p.n/2+4))
-	}
-	if cap(p.place) < comps {
-		p.place = make([]int, comps)
-	}
-}
-
 // earliestStart returns the earliest time >= the profile start at which
 // components can hold the same distinct clusters for the whole duration,
 // together with the placement. It returns +Inf when the components can
 // never fit.
 //
-// The candidate starts are the segment breakpoints. The per-cluster
-// minimum over the duration window is maintained incrementally with one
-// monotonic deque per cluster, so a full scan is O(S·nc) amortized
-// instead of the O(S²·nc) of rescanning the window per candidate. The
-// greedy placement itself runs only for the first candidate and for
-// candidates where some in-window minimum actually rose: the placement
-// rule is monotone in the idle vector (TestPlacementMonotone pins this
-// exhaustively), so a candidate whose window minima are pointwise <= the
-// last failed candidate's must fail too.
+// The candidate starts are the segment breakpoints. Each candidate takes
+// the per-cluster minimum over the segments its window [t, t+dur) covers
+// and runs the greedy placement on it; the candidate's own segment is
+// always in the window, even for a zero duration.
 //
 // The returned placement is the profile's scratch buffer: it is valid
 // only until the next earliestStart call on this profile, so callers must
@@ -233,66 +149,37 @@ func (p *profile) ensureScratch(comps int) {
 // TestPoisonedScratchDifferential poisons it between policy calls.
 func (p *profile) earliestStart(comps []int, dur float64, fit cluster.Fit) (float64, []int) {
 	nc, S := p.nc, p.n
-	p.ensureScratch(len(comps))
+	if cap(p.min) < nc {
+		p.min = make([]int, nc)
+		p.used = make([]bool, nc)
+	}
+	if cap(p.place) < len(comps) {
+		p.place = make([]int, len(comps))
+	}
 	times := p.times[p.off : p.off+S]
 	flat := p.flat[p.off*nc : (p.off+S)*nc]
-	deqCap := S
-	min, prev := p.min[:nc], p.prev[:nc]
-	for c := 0; c < nc; c++ {
-		p.dqh[c], p.dqt[c] = 0, 0
-	}
-	r := 0 // next segment to enter the window
-	havePrev := false
+	min, place := p.min[:nc], p.place[:len(comps)]
 	for s := 0; s < S; s++ {
-		// Expire window-left segments (before the candidate start).
-		for c := 0; c < nc; c++ {
-			h := p.dqh[c]
-			for h < p.dqt[c] && p.deq[c*deqCap+h] < s {
-				h++
-			}
-			p.dqh[c] = h
-		}
-		// Admit segments starting before the window end. The candidate's
-		// own segment is always in the window, matching the reference
-		// minWindow even for a degenerate zero duration.
+		copy(min, flat[s*nc:(s+1)*nc])
 		end := times[s] + dur
-		for ; r <= s || (r < S && times[r] < end); r++ {
-			for c := 0; c < nc; c++ {
-				v := flat[r*nc+c]
-				t := p.dqt[c]
-				for t > p.dqh[c] && flat[p.deq[c*deqCap+t-1]*nc+c] >= v {
-					t--
+		for r := s + 1; r < S && times[r] < end; r++ {
+			for c, v := range flat[r*nc : (r+1)*nc] {
+				if v < min[c] {
+					min[c] = v
 				}
-				p.deq[c*deqCap+t] = r
-				p.dqt[c] = t + 1
 			}
 		}
-		// Assemble the window minimum and check whether any cluster's
-		// minimum rose since the last evaluated candidate.
-		rose := !havePrev
-		for c := 0; c < nc; c++ {
-			v := flat[p.deq[c*deqCap+p.dqh[c]]*nc+c]
-			min[c] = v
-			if v > prev[c] {
-				rose = true
-			}
+		if cluster.PlaceVector(min, comps, fit, place, p.used[:nc]) {
+			return times[s], place
 		}
-		if !rose {
-			continue
-		}
-		if cluster.PlaceVector(min, comps, fit, p.place[:len(comps)], p.used[:nc]) {
-			return times[s], p.place[:len(comps)]
-		}
-		copy(prev, min)
-		havePrev = true
 	}
 	return math.Inf(1), nil
 }
 
 // reserve subtracts the components from the profile over [t, t+dur).
 func (p *profile) reserve(comps, placement []int, t, dur float64) {
-	start := p.segmentAt(t, true)
-	end := p.segmentAt(t+dur, true)
+	start := p.segmentAt(t)
+	end := p.segmentAt(t + dur)
 	for s := start; s < end; s++ {
 		seg := p.seg(s)
 		for i, c := range placement {

@@ -7,13 +7,13 @@ import (
 	"coalloc/internal/cluster"
 )
 
-// refProfile is the naive reference implementation of the free-capacity
-// profile: slice-of-slices segment storage and an O(S²·nc) earliestStart
-// that rescans the whole duration window for every candidate start. It is
-// the pre-optimization semantics, kept verbatim as the oracle for the
-// differential property tests (TestProfileDifferential and friends) that
-// pin the flat sliding-window profile bit-identical to it. It is not used
-// by any policy.
+// refProfile is the reference implementation of the free-capacity
+// profile: slice-of-slices segment storage, a release fold sorted by
+// finish time, and an earliestStart that rescans the whole duration window
+// for every candidate start. It is the original semantics, kept as the
+// oracle for the differential property tests (TestProfileDifferential and
+// friends) that pin the flat profile — offsets, in-place splits, batched
+// compaction — bit-identical to it. It is not used by any policy.
 type refProfile struct {
 	times []float64
 	idle  [][]int
@@ -39,7 +39,7 @@ func newRefProfile(m *cluster.Multicluster, now float64, running []runInfo) *ref
 		if r.finish <= now {
 			continue
 		}
-		idx := p.segmentAt(r.finish, true)
+		idx := p.segmentAt(r.finish)
 		for s := idx; s < len(p.times); s++ {
 			for i, c := range r.placement {
 				p.idle[s][c] += r.comps[i]
@@ -50,14 +50,11 @@ func newRefProfile(m *cluster.Multicluster, now float64, running []runInfo) *ref
 }
 
 // segmentAt returns the index of the segment starting exactly at t,
-// inserting a breakpoint (split) when split is true and none exists.
-func (p *refProfile) segmentAt(t float64, split bool) int {
+// splitting the covering segment there when no breakpoint exists.
+func (p *refProfile) segmentAt(t float64) int {
 	i := sort.SearchFloat64s(p.times, t)
 	if i < len(p.times) && p.times[i] == t {
 		return i
-	}
-	if !split {
-		return i - 1
 	}
 	cp := append([]int(nil), p.idle[i-1]...)
 	p.times = append(p.times, 0)
@@ -89,8 +86,7 @@ func (p *refProfile) trim(now float64) {
 }
 
 // minWindow returns the pointwise minimum idle vector over [t, t+dur) by
-// rescanning every in-window segment — the quadratic inner loop the flat
-// profile's monotonic deques replace.
+// rescanning every in-window segment.
 func (p *refProfile) minWindow(t, dur float64) []int {
 	end := t + dur
 	start := sort.SearchFloat64s(p.times, t)
@@ -112,7 +108,7 @@ func (p *refProfile) minWindow(t, dur float64) []int {
 	return min
 }
 
-// earliestStart is the reference O(S²·nc) scan: every segment start is a
+// earliestStart is the reference scan: every segment start is a
 // candidate, and every candidate rescans its window and runs the greedy
 // placement.
 func (p *refProfile) earliestStart(comps []int, dur float64, fit cluster.Fit) (float64, []int) {
@@ -135,8 +131,8 @@ func (p *refProfile) earliestStart(comps []int, dur float64, fit cluster.Fit) (f
 
 // reserve subtracts the components from the profile over [t, t+dur).
 func (p *refProfile) reserve(comps, placement []int, t, dur float64) {
-	start := p.segmentAt(t, true)
-	end := p.segmentAt(t+dur, true)
+	start := p.segmentAt(t)
+	end := p.segmentAt(t + dur)
 	for s := start; s < end; s++ {
 		for i, c := range placement {
 			p.idle[s][c] -= comps[i]

@@ -11,6 +11,7 @@ package queues
 
 import (
 	"fmt"
+	"slices"
 
 	"coalloc/internal/workload"
 )
@@ -20,7 +21,6 @@ import (
 type FIFO struct {
 	jobs []*workload.Job
 	head int
-	drop map[*workload.Job]bool // reusable RemoveAll scratch, cleared after use
 }
 
 // Push appends a job.
@@ -68,51 +68,27 @@ func (q *FIFO) ForEachWaiting(fn func(idx int, j *workload.Job) bool) {
 	}
 }
 
-// removeAllScanLimit is the batch size up to which RemoveAll membership
-// tests run as a linear identity scan. Backfilling passes start a handful
-// of jobs at a time, so the scan covers the common case without touching
-// the map at all.
-const removeAllScanLimit = 8
-
 // RemoveAll deletes the given jobs (compared by identity) from the queue,
-// preserving the order of the remaining jobs. Jobs not present are
-// ignored. Backfilling uses it to extract the candidates it started from
-// the middle of the queue. RemoveAll allocates nothing in the steady
-// state: small batches use a linear scan, larger ones a reusable map that
-// is cleared — not dropped — after the pass, so no job pointers outlive
-// the call.
+// preserving the order of the remaining jobs. The jobs must be queued and
+// given in queue order, as a backfilling pass collects the candidates it
+// started from the middle of the queue; RemoveAll merges them out in one
+// linear walk and panics on a job it does not find. It allocates nothing.
 func (q *FIFO) RemoveAll(jobs []*workload.Job) {
 	if len(jobs) == 0 {
 		return
 	}
 	kept := q.jobs[q.head:]
 	out := kept[:0]
-	if len(jobs) <= removeAllScanLimit {
-		for _, j := range kept {
-			found := false
-			for _, d := range jobs {
-				if d == j {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out = append(out, j)
-			}
+	k := 0
+	for _, j := range kept {
+		if k < len(jobs) && j == jobs[k] {
+			k++
+			continue
 		}
-	} else {
-		if q.drop == nil {
-			q.drop = make(map[*workload.Job]bool, len(jobs))
-		}
-		for _, j := range jobs {
-			q.drop[j] = true
-		}
-		for _, j := range kept {
-			if !q.drop[j] {
-				out = append(out, j)
-			}
-		}
-		clear(q.drop)
+		out = append(out, j)
+	}
+	if k < len(jobs) {
+		panic(fmt.Sprintf("queues: RemoveAll job %d not queued (or out of queue order)", jobs[k].ID))
 	}
 	for i := len(out); i < len(kept); i++ {
 		kept[i] = nil
@@ -126,25 +102,11 @@ func (q *FIFO) Empty() bool { return q.Len() == 0 }
 // EnableSet tracks which of n queues are enabled, preserving the paper's
 // ordering contract: the visit order is the enable order, a disabled queue
 // leaves the order, and re-enabled queues rejoin it in the order they were
-// disabled.
-//
-// The visit order lives in an intrusive doubly linked list (index arrays
-// over the queue ids plus one sentinel), so Disable — which sits on the
-// LS/LP per-pass path, once per head miss — unlinks in O(1) instead of
-// scanning and shifting an order slice. The flat []int view of the order
-// is materialized lazily, only when Enabled is called after a mutation;
-// the policies copy that view once per scheduling round, so the rebuild
-// replaces a copy they paid for anyway.
+// disabled. n is the cluster count, so the order is a short plain slice.
 type EnableSet struct {
-	// next and prev chain the enabled queue ids in visit order through a
-	// circular list anchored at sentinel index n. Entries of disabled
-	// queues are meaningless until they are relinked.
-	next, prev []int
-	order      []int // cached visit order; rebuilt when stale
-	stale      bool
-	disabled   []int // queue ids in the order they were disabled
-	state      []bool
-	n          int
+	order    []int  // enabled queue ids in visit order
+	disabled []int  // queue ids in the order they were disabled
+	state    []bool // state[q] reports whether queue q is enabled
 }
 
 // NewEnableSet returns an EnableSet over queues 0..n-1, all enabled, with
@@ -153,63 +115,31 @@ func NewEnableSet(n int) *EnableSet {
 	if n <= 0 {
 		panic(fmt.Sprintf("queues: NewEnableSet(%d)", n))
 	}
-	s := &EnableSet{
-		next:  make([]int, n+1),
-		prev:  make([]int, n+1),
-		order: make([]int, 0, n),
-		state: make([]bool, n),
-		n:     n,
-	}
-	for i := 0; i <= n; i++ {
-		s.next[i] = (i + 1) % (n + 1)
-		s.prev[i] = (i + n) % (n + 1)
-	}
-	for i := 0; i < n; i++ {
-		s.order = append(s.order, i)
-		s.state[i] = true
-	}
+	s := &EnableSet{order: make([]int, 0, n), state: make([]bool, n)}
+	s.EnableAllSorted()
 	return s
 }
 
 // Enabled returns the enabled queue ids in visit order. The slice is the
 // set's internal state; callers must not retain it across mutations.
-func (s *EnableSet) Enabled() []int {
-	if s.stale {
-		s.order = s.order[:0]
-		for q := s.next[s.n]; q != s.n; q = s.next[q] {
-			s.order = append(s.order, q)
-		}
-		s.stale = false
-	}
-	return s.order
-}
+func (s *EnableSet) Enabled() []int { return s.order }
 
 // IsEnabled reports whether queue q is enabled.
 func (s *EnableSet) IsEnabled(q int) bool { return s.state[q] }
-
-// linkTail appends queue q to the end of the visit order.
-func (s *EnableSet) linkTail(q int) {
-	tail := s.prev[s.n]
-	s.next[tail] = q
-	s.prev[q] = tail
-	s.next[q] = s.n
-	s.prev[s.n] = q
-}
 
 // Disable removes queue q from the visit order and records the disable
 // order. It reports whether q was enabled: disabling a disabled queue is a
 // no-op and reports false.
 func (s *EnableSet) Disable(q int) bool {
-	if q < 0 || q >= s.n {
-		panic(fmt.Sprintf("queues: Disable(%d) of %d queues", q, s.n))
+	if q < 0 || q >= len(s.state) {
+		panic(fmt.Sprintf("queues: Disable(%d) of %d queues", q, len(s.state)))
 	}
 	if !s.state[q] {
 		return false
 	}
 	s.state[q] = false
-	s.next[s.prev[q]] = s.next[q]
-	s.prev[s.next[q]] = s.prev[q]
-	s.stale = true
+	i := slices.Index(s.order, q)
+	s.order = slices.Delete(s.order, i, i+1)
 	s.disabled = append(s.disabled, q)
 	return true
 }
@@ -226,10 +156,9 @@ func (s *EnableSet) EnableAll() []int {
 	}
 	for _, q := range re {
 		s.state[q] = true
-		s.linkTail(q)
 	}
+	s.order = append(s.order, re...)
 	s.disabled = s.disabled[:0]
-	s.stale = true
 	return re
 }
 
@@ -240,13 +169,10 @@ func (s *EnableSet) EnableAll() []int {
 func (s *EnableSet) EnableAllSorted() []int {
 	re := s.disabled
 	s.disabled = s.disabled[:0]
-	for i := 0; i <= s.n; i++ {
-		s.next[i] = (i + 1) % (s.n + 1)
-		s.prev[i] = (i + s.n) % (s.n + 1)
-	}
-	for q := 0; q < s.n; q++ {
+	s.order = s.order[:0]
+	for q := range s.state {
 		s.state[q] = true
+		s.order = append(s.order, q)
 	}
-	s.stale = true
 	return re
 }

@@ -243,8 +243,8 @@ func TestEnableSetInvariant(t *testing.T) {
 
 // TestEnableSetOrderMatchesReference drives random disable/enable-all
 // sequences against a naive slice-based model of the paper's ordering
-// contract and requires the intrusive-list implementation to report the
-// exact same visit order at every step.
+// contract and requires the set to report the exact same visit order at
+// every step.
 func TestEnableSetOrderMatchesReference(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.NewStream(seed)
@@ -301,12 +301,12 @@ func TestEnableSetOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEnableSetDisableNoAlloc pins the hot-path property the intrusive
-// list buys: in the steady state (disabled capacity warmed up), a
-// disable/enable-all cycle allocates nothing.
+// TestEnableSetDisableNoAlloc pins the hot-path property: in the steady
+// state (disabled capacity warmed up), a disable/enable-all cycle
+// allocates nothing.
 func TestEnableSetDisableNoAlloc(t *testing.T) {
 	s := NewEnableSet(8)
-	// Warm the disabled slice's capacity and the order cache.
+	// Warm the disabled slice's capacity.
 	for q := 0; q < 8; q++ {
 		s.Disable(q)
 	}
@@ -350,8 +350,8 @@ func TestRemoveAll(t *testing.T) {
 		jobs[i] = job(int64(i + 1))
 		q.Push(jobs[i])
 	}
-	q.Pop()                                                 // head advances past job 1
-	q.RemoveAll([]*workload.Job{jobs[2], jobs[4], job(99)}) // 99 not present
+	q.Pop()                                        // head advances past job 1
+	q.RemoveAll([]*workload.Job{jobs[2], jobs[4]}) // jobs 3 and 5
 	var got []int64
 	q.ForEachWaiting(func(_ int, j *workload.Job) bool {
 		got = append(got, j.ID)
@@ -377,6 +377,25 @@ func TestRemoveAll(t *testing.T) {
 	// Pop order preserved after removal.
 	if q.Pop().ID != 2 || q.Pop().ID != 4 || q.Pop().ID != 6 {
 		t.Error("pop order after RemoveAll")
+	}
+	// A job not queued, or jobs out of queue order, panic: the merge
+	// would otherwise drop nothing and hide a policy's bookkeeping fault.
+	for _, bad := range [][]*workload.Job{
+		{jobs[3], job(99)},
+		{jobs[5], jobs[1]},
+	} {
+		var q FIFO
+		for _, j := range jobs {
+			q.Push(j)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RemoveAll(%d, %d) did not panic", bad[0].ID, bad[1].ID)
+				}
+			}()
+			q.RemoveAll(bad)
+		}()
 	}
 }
 
@@ -459,37 +478,15 @@ func TestEnableAllSorted(t *testing.T) {
 	}
 }
 
-// TestRemoveAllLargeBatchClearsScratch exercises the map path (batches
-// beyond removeAllScanLimit) and pins the scratch contract: the reusable
-// map must be emptied after the pass so no job pointers outlive the call.
-func TestRemoveAllLargeBatchClearsScratch(t *testing.T) {
-	var q FIFO
-	jobs := make([]*workload.Job, 2*removeAllScanLimit+4)
-	for i := range jobs {
-		jobs[i] = job(int64(i + 1))
-		q.Push(jobs[i])
-	}
-	q.RemoveAll(jobs[:removeAllScanLimit+2]) // > scan limit: map path
-	if q.Len() != len(jobs)-(removeAllScanLimit+2) {
-		t.Fatalf("len %d after large-batch removal", q.Len())
-	}
-	if q.Head() != jobs[removeAllScanLimit+2] {
-		t.Errorf("head %v after removal", q.Head())
-	}
-	if len(q.drop) != 0 {
-		t.Errorf("scratch map retains %d job pointers after RemoveAll", len(q.drop))
-	}
-}
-
-// TestRemoveAllSmallBatchZeroAlloc pins that scan-path removals — the
-// common case in backfilling passes — allocate nothing.
+// TestRemoveAllSmallBatchZeroAlloc pins that removing the handful of jobs
+// a backfilling pass starts allocates nothing.
 func TestRemoveAllSmallBatchZeroAlloc(t *testing.T) {
 	var q FIFO
 	jobs := make([]*workload.Job, 64)
 	for i := range jobs {
 		jobs[i] = job(int64(i + 1))
 	}
-	batch := make([]*workload.Job, 0, removeAllScanLimit)
+	batch := make([]*workload.Job, 0, 3)
 	cycle := func() {
 		for _, j := range jobs {
 			q.Push(j)
